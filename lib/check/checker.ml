@@ -144,54 +144,26 @@ let run_once opts ~prefix ~branch_sleep =
     depth := d + 1;
     k
   in
-  let op = Torture.Oracle.probe oracle in
-  let probe =
-    { Samhita.Probe.on_read =
-        (fun ~thread ~time ~addr ~len ~value ->
-           Footprint.add_read !cur ~thread ~addr ~len;
-           op.Samhita.Probe.on_read ~thread ~time ~addr ~len ~value);
-      on_write =
-        (fun ~thread ~time ~addr ~len ~value ->
-           Footprint.add_write !cur ~thread ~addr ~len;
-           op.Samhita.Probe.on_write ~thread ~time ~addr ~len ~value);
-      on_publish = op.Samhita.Probe.on_publish;
-      on_malloc =
-        (fun ~thread ~time ~addr ~bytes ->
-           Footprint.add_thread !cur thread;
-           op.Samhita.Probe.on_malloc ~thread ~time ~addr ~bytes);
-      on_free =
-        (fun ~thread ~time ~addr ~bytes ->
-           Footprint.add_thread !cur thread;
-           op.Samhita.Probe.on_free ~thread ~time ~addr ~bytes);
-      on_barrier =
-        (fun ~thread ~time ~barrier ~epoch ~phase ->
-           Footprint.add_sync !cur ~thread (Printf.sprintf "bar:%d" barrier);
-           op.Samhita.Probe.on_barrier ~thread ~time ~barrier ~epoch ~phase);
-      on_sync =
-        (fun ~thread ~time ~op:sync_op ->
-           let name =
-             match sync_op with
-             | Samhita.Probe.Lock_acquired l | Samhita.Probe.Unlock l ->
-               Printf.sprintf "lock:%d" l
-             | Samhita.Probe.Cond_signal c | Samhita.Probe.Cond_wake c ->
-               Printf.sprintf "cond:%d" c
-           in
-           Footprint.add_sync !cur ~thread name;
-           op.Samhita.Probe.on_sync ~thread ~time ~op:sync_op);
-      on_crash =
-        (fun ~time ~node ~server ->
-           Footprint.set_global !cur;
-           op.Samhita.Probe.on_crash ~time ~node ~server);
-      on_recovery =
-        (fun ~time ~failed ~promoted ~replayed ->
-           Footprint.set_global !cur;
-           op.Samhita.Probe.on_recovery ~time ~failed ~promoted ~replayed);
-      on_rejoin =
-        (fun ~time ~zombie ~primary ~copied ->
-           Footprint.set_global !cur;
-           op.Samhita.Probe.on_rejoin ~time ~zombie ~primary ~copied) }
-  in
-  Samhita.System.set_probe sys probe;
+  (* Footprints first, then the oracle, each a plain subscriber; only the
+     access, sync and failure events carry dependence. *)
+  Samhita.System.subscribe sys (function
+    | Read { thread; addr; len; _ } ->
+      Footprint.add_read !cur ~thread ~addr ~len
+    | Write { thread; addr; len; _ } ->
+      Footprint.add_write !cur ~thread ~addr ~len
+    | Malloc { thread; _ } | Free { thread; _ } ->
+      Footprint.add_thread !cur thread
+    | Barrier { thread; barrier; _ } ->
+      Footprint.add_sync !cur ~thread (Printf.sprintf "bar:%d" barrier)
+    | Sync { thread; op = Lock_acquired l | Unlock l; _ } ->
+      Footprint.add_sync !cur ~thread (Printf.sprintf "lock:%d" l)
+    | Sync { thread; op = Cond_signal c | Cond_wake c; _ } ->
+      Footprint.add_sync !cur ~thread (Printf.sprintf "cond:%d" c)
+    | Crash _ | Recovery _ | Rejoin _ -> Footprint.set_global !cur
+    | Publish _ | Lock_attempt _ | Grant _ | Unlock_start _ | Release _
+    | Fetch _ | Evict_flush _ ->
+      ());
+  Torture.Oracle.attach oracle sys;
   Desim.Engine.set_chooser engine (Some chooser);
   let check_sum =
     Kernels.build opts.kernel sys ~threads:opts.threads ~pages:opts.pages

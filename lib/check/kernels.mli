@@ -22,6 +22,7 @@ val of_name : string -> (t, string) result
 
 val build : t -> Samhita.System.t -> threads:int -> pages:int -> unit -> string option
 (** Create the kernel's sync objects and spawn its thread bodies into an
-    already-created system (the caller installs its probe and controlled
-    scheduler first, then calls {!Samhita.System.run}). The returned thunk
-    is the post-run checksum: [Some message] on mismatch. *)
+    already-created system (the caller subscribes its observers and
+    installs its controlled scheduler first, then calls
+    {!Samhita.System.run}). The returned thunk is the post-run checksum:
+    [Some message] on mismatch. *)

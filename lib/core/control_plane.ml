@@ -128,10 +128,9 @@ let recover_shard t ~dead ~now =
 (* Memory-server recovery, composed across shards                      *)
 
 (* Promote once, then replay every shard's surviving logs in (shard,
-   lock id) order, then wake the parked threads once. With one shard
-   this is exactly Manager_shard.recover. [detecting] is the shard whose
-   lease monitor expired the lease. *)
-let recover_server t ~dir ~servers ~dead ~probe ~now ~detecting =
+   lock id) order, then wake the parked threads once. [detecting] is the
+   shard whose lease monitor expired the lease. *)
+let recover_server t ~dir ~servers ~dead ~subscribers ~now ~detecting =
   (* The detecting shard's lease expiry bumps its configuration epoch;
      promotion stamps the directory slots and the promoted replica with
      it. The suspected server keeps its old epoch — if it is merely
@@ -147,7 +146,8 @@ let recover_server t ~dir ~servers ~dead ~probe ~now ~detecting =
     (fun sh ->
        replayed :=
          !replayed
-         + Manager_shard.replay sh ~dir ~servers ~dead ~promoted ~probe ~now)
+         + Manager_shard.replay sh ~dir ~servers ~dead ~promoted ~subscribers
+             ~now)
     t.shards;
   List.iter
     (fun wake -> Desim.Engine.schedule_at t.engine now wake)
@@ -165,7 +165,7 @@ let recover_server t ~dir ~servers ~dead ~probe ~now ~detecting =
    synchronously mirrored to exactly the server that got promoted, so
    nothing it holds is newer than the primary; stale lines are simply
    overwritten. *)
-let rejoin_server t ~dir ~servers ~zombie ~probe ~now =
+let rejoin_server t ~dir ~servers ~zombie ~subscribers ~now =
   let z = servers.(zombie) in
   Memory_server.set_epoch z (Directory.epoch dir);
   let copied = ref 0 in
@@ -194,10 +194,10 @@ let rejoin_server t ~dir ~servers ~zombie ~probe ~now =
          | _ -> ())
     servers;
   Directory.note_rejoin dir;
-  (match probe with
-   | Some p ->
-     p.Probe.on_rejoin ~time:now ~zombie ~primary:!primary ~copied:!copied
-   | None -> ());
+  if subscribers != [] then
+    Probe.emit subscribers
+      (Probe.Rejoin
+         { time = now; zombie; primary = !primary; copied = !copied });
   (!primary, !copied)
 
 (* ------------------------------------------------------------------ *)

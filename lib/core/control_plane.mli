@@ -65,7 +65,8 @@ val recover_shard : t -> dead:int -> now:Desim.Time.t -> int * int * int
 
 val recover_server :
   t -> dir:Directory.t -> servers:Memory_server.t array -> dead:int ->
-  probe:Probe.t option -> now:Desim.Time.t -> detecting:int -> int * int
+  subscribers:Probe.subscriber list -> now:Desim.Time.t -> detecting:int ->
+  int * int
 (** The sharded [promote -> replay -> wake] path: promote the backup
     once, replay every shard's surviving update logs (ascending shard,
     then lock id), wake the parked threads once. [detecting] is the
@@ -77,14 +78,14 @@ val recover_server :
 
 val rejoin_server :
   t -> dir:Directory.t -> servers:Memory_server.t array -> zombie:int ->
-  probe:Probe.t option -> now:Desim.Time.t -> int * int
+  subscribers:Probe.subscriber list -> now:Desim.Time.t -> int * int
 (** A falsely suspected server answered a post-heal probe: stamp it with
     the current epoch and resync it back in as the backup it already
     ring-wires to — an epoch-stamped diff against the live primary's
     versions (only lines that primary currently serves, only where the
     zombie is behind), modeled as a zero-latency background copy like
     the home-migration blit. Returns [(primary_backed, lines_copied)]
-    and fires [Probe.on_rejoin]. *)
+    and emits {!Probe.Rejoin}. *)
 
 (** {2 Aggregated introspection} *)
 

@@ -567,7 +567,7 @@ let epoch t = t.cfg_epoch
    replica is behind is patched forward from the log, oldest release
    first. With synchronous mirroring the replica is normally already
    current and replay is a no-op safety net. *)
-let replay t ~dir ~servers ~dead ~promoted ~probe ~now =
+let replay t ~dir ~servers ~dead ~promoted ~subscribers ~now =
   let psrv = servers.(promoted) in
   let replayed_here = ref 0 in
   let locks =
@@ -592,32 +592,17 @@ let replay t ~dir ~servers ~dead ~promoted ~probe ~now =
                      h.h_log;
                    Memory_server.force_version psrv line v;
                    incr replayed_here;
-                   match probe with
-                   | Some p ->
-                     p.Probe.on_publish ~thread:(-1) ~time:now
-                       ~server:promoted ~line ~version:v
-                       ~data:(Memory_server.line psrv line)
-                   | None -> ()
+                   if subscribers != [] then
+                     Probe.emit subscribers
+                       (Probe.Publish
+                          { thread = -1; time = now; server = promoted; line;
+                            version = v; data = Memory_server.line psrv line })
                  end)
               h.h_line_versions)
          (List.rev st.history))
     locks;
   t.replayed <- t.replayed + !replayed_here;
   !replayed_here
-
-(* Single-shard recovery (the classic path; the sharded facade composes
-   [replay] across shards instead): promote the backup, replay, wake
-   parked threads. *)
-let recover t ~dir ~servers ~dead ~probe ~now =
-  t.leases_expired <- t.leases_expired + 1;
-  t.cfg_epoch <- t.cfg_epoch + 1;
-  let promoted = Directory.promote ~epoch:t.cfg_epoch dir ~dead in
-  Memory_server.set_epoch servers.(promoted) (Directory.epoch dir);
-  let replayed_here = replay t ~dir ~servers ~dead ~promoted ~probe ~now in
-  List.iter
-    (fun wake -> Desim.Engine.schedule_at t.engine now wake)
-    (Directory.take_waiters dir);
-  (promoted, replayed_here)
 
 (* ------------------------------------------------------------------ *)
 (* Shard takeover (control-plane crash): the ring successor absorbs the

@@ -199,19 +199,13 @@ val epoch : t -> int
 
 val replay :
   t -> dir:Directory.t -> servers:Memory_server.t array -> dead:int ->
-  promoted:int -> probe:Probe.t option -> now:Desim.Time.t -> int
+  promoted:int -> subscribers:Probe.subscriber list -> now:Desim.Time.t ->
+  int
 (** Replay this shard's surviving update-log entries onto promoted server
     [promoted] for any line logically homed on [dead] whose replica is
-    behind its published version (publishing each replayed line through
-    [probe] with thread [-1]). Returns the number of replayed entries. *)
-
-val recover :
-  t -> dir:Directory.t -> servers:Memory_server.t array -> dead:int ->
-  probe:Probe.t option -> now:Desim.Time.t -> int * int
-(** Single-shard recovery for failed physical server [dead]: expire its
-    lease, {!Directory.promote} its backup, {!replay}, and reschedule
-    threads parked in {!Directory.await_recovery}. Returns
-    [(promoted, replayed_entries)]. *)
+    behind its published version (publishing each replayed line to
+    [subscribers] with thread [-1]). Returns the number of replayed
+    entries. *)
 
 val absorb : t -> from:t -> now:Desim.Time.t -> int * int
 (** Shard takeover: move every sync object of dead shard [from] into this

@@ -4,38 +4,123 @@ type sync_op =
   | Cond_signal of int
   | Cond_wake of int
 
-type t = {
-  on_read :
-    thread:int -> time:Desim.Time.t -> addr:int -> len:int ->
-    value:int64 option -> unit;
-  on_write :
-    thread:int -> time:Desim.Time.t -> addr:int -> len:int ->
-    value:int64 option -> unit;
-  on_publish :
-    thread:int -> time:Desim.Time.t -> server:int -> line:int ->
-    version:int -> data:bytes -> unit;
-  on_malloc : thread:int -> time:Desim.Time.t -> addr:int -> bytes:int -> unit;
-  on_free : thread:int -> time:Desim.Time.t -> addr:int -> bytes:int -> unit;
-  on_barrier :
-    thread:int -> time:Desim.Time.t -> barrier:int -> epoch:int ->
-    phase:[ `Arrive | `Depart ] -> unit;
-  on_sync : thread:int -> time:Desim.Time.t -> op:sync_op -> unit;
-  on_crash : time:Desim.Time.t -> node:int -> server:int -> unit;
-  on_recovery :
-    time:Desim.Time.t -> failed:int -> promoted:int -> replayed:int -> unit;
-  on_rejoin :
-    time:Desim.Time.t -> zombie:int -> primary:int -> copied:int -> unit;
-}
+type grant = Fresh | Patch of int | Notices of int
 
-let nothing =
-  { on_read = (fun ~thread:_ ~time:_ ~addr:_ ~len:_ ~value:_ -> ());
-    on_write = (fun ~thread:_ ~time:_ ~addr:_ ~len:_ ~value:_ -> ());
-    on_publish =
-      (fun ~thread:_ ~time:_ ~server:_ ~line:_ ~version:_ ~data:_ -> ());
-    on_malloc = (fun ~thread:_ ~time:_ ~addr:_ ~bytes:_ -> ());
-    on_free = (fun ~thread:_ ~time:_ ~addr:_ ~bytes:_ -> ());
-    on_barrier = (fun ~thread:_ ~time:_ ~barrier:_ ~epoch:_ ~phase:_ -> ());
-    on_sync = (fun ~thread:_ ~time:_ ~op:_ -> ());
-    on_crash = (fun ~time:_ ~node:_ ~server:_ -> ());
-    on_recovery = (fun ~time:_ ~failed:_ ~promoted:_ ~replayed:_ -> ());
-    on_rejoin = (fun ~time:_ ~zombie:_ ~primary:_ ~copied:_ -> ()) }
+type event =
+  | Read of {
+      thread : int;
+      time : Desim.Time.t;
+      addr : int;
+      len : int;
+      value : int64 option;
+    }
+  | Write of {
+      thread : int;
+      time : Desim.Time.t;
+      addr : int;
+      len : int;
+      value : int64 option;
+      lock : int;
+    }
+  | Publish of {
+      thread : int;
+      time : Desim.Time.t;
+      server : int;
+      line : int;
+      version : int;
+      data : bytes;
+    }
+  | Malloc of { thread : int; time : Desim.Time.t; addr : int; bytes : int }
+  | Free of { thread : int; time : Desim.Time.t; addr : int; bytes : int }
+  | Barrier of {
+      thread : int;
+      time : Desim.Time.t;
+      barrier : int;
+      epoch : int;
+      phase : [ `Arrive | `Depart ];
+      notices : int;
+    }
+  | Sync of { thread : int; time : Desim.Time.t; op : sync_op }
+  | Lock_attempt of { thread : int; time : Desim.Time.t; lock : int }
+  | Grant of {
+      thread : int;
+      time : Desim.Time.t;
+      lock : int;
+      version : int;
+      action : grant;
+    }
+  | Unlock_start of { thread : int; time : Desim.Time.t; lock : int }
+  | Release of {
+      thread : int;
+      time : Desim.Time.t;
+      lock : int;
+      updates : int;
+      lines : int;
+    }
+  | Fetch of {
+      thread : int;
+      time : Desim.Time.t;
+      line : int;
+      version : int;
+      server : int;
+    }
+  | Evict_flush of {
+      thread : int;
+      time : Desim.Time.t;
+      line : int;
+      bytes : int;
+      version : int;
+    }
+  | Crash of { time : Desim.Time.t; node : int; server : int }
+  | Recovery of {
+      time : Desim.Time.t;
+      failed : int;
+      promoted : int;
+      replayed : int;
+    }
+  | Rejoin of {
+      time : Desim.Time.t;
+      zombie : int;
+      primary : int;
+      copied : int;
+    }
+
+type subscriber = event -> unit
+
+let time = function
+  | Read { time; _ } | Write { time; _ } | Publish { time; _ }
+  | Malloc { time; _ } | Free { time; _ } | Barrier { time; _ }
+  | Sync { time; _ } | Lock_attempt { time; _ } | Grant { time; _ }
+  | Unlock_start { time; _ } | Release { time; _ } | Fetch { time; _ }
+  | Evict_flush { time; _ } | Crash { time; _ } | Recovery { time; _ }
+  | Rejoin { time; _ } ->
+    time
+
+let emit subs ev = List.iter (fun f -> f ev) subs
+
+module San = Analysis.Regcsan
+
+let regcsan s = function
+  | Read { thread; time; addr; len; _ } ->
+    San.on_read s ~thread ~time ~addr ~len
+  | Write { thread; time; addr; len; lock; _ } ->
+    San.on_write s ~thread ~time ~addr ~len ~lock
+  | Malloc { thread; time; addr; bytes } ->
+    San.on_malloc s ~thread ~time ~addr ~bytes
+  | Free { thread; time; addr; bytes } ->
+    San.on_free s ~thread ~time ~addr ~bytes
+  | Lock_attempt { thread; time; lock } ->
+    San.on_lock_attempt s ~thread ~time ~lock
+  | Sync { thread; time; op = Lock_acquired lock } ->
+    San.on_lock_acquired s ~thread ~time ~lock
+  | Unlock_start { thread; time; lock } -> San.on_unlock s ~thread ~time ~lock
+  | Barrier { thread; barrier; epoch; phase = `Arrive; _ } ->
+    San.on_barrier_arrive s ~thread ~barrier ~epoch
+  | Barrier { thread; barrier; epoch; phase = `Depart; _ } ->
+    San.on_barrier_depart s ~thread ~barrier ~epoch
+  | Sync { thread; op = Cond_signal cond; _ } ->
+    San.on_cond_signal s ~thread ~cond
+  | Sync { thread; op = Cond_wake cond; _ } -> San.on_cond_wake s ~thread ~cond
+  | Sync { op = Unlock _; _ } | Publish _ | Grant _ | Release _ | Fetch _
+  | Evict_flush _ | Crash _ | Recovery _ | Rejoin _ ->
+    ()

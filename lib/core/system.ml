@@ -15,7 +15,7 @@ type t = {
   (* Atomic: with domains > 1, client partitions increment it from their
      own domains while hub-side monitor processes poll it. *)
   finished : int Atomic.t;
-  mutable probe : Probe.t option;
+  mutable subscribers : Probe.subscriber list;
 }
 
 (* The lease-based failure detector (active when replication is on): each
@@ -100,19 +100,18 @@ let spawn_lease_monitor t ~shard:si ~subset =
                | None -> false
              in
              if not truly_dead then Directory.note_false_suspicion t.dir;
-             (match t.probe with
-              | Some p ->
-                p.Probe.on_crash ~time:now ~node:(1 + i) ~server:i
-              | None -> ());
+             if t.subscribers != [] then
+               Probe.emit t.subscribers
+                 (Probe.Crash { time = now; node = 1 + i; server = i });
              let promoted, replayed =
                Control_plane.recover_server t.cp ~dir:t.dir
-                 ~servers:t.servers ~dead:i ~probe:t.probe ~now
+                 ~servers:t.servers ~dead:i ~subscribers:t.subscribers ~now
                  ~detecting:si
              in
-             (match t.probe with
-              | Some p ->
-                p.Probe.on_recovery ~time:now ~failed:i ~promoted ~replayed
-              | None -> ()));
+             if t.subscribers != [] then
+               Probe.emit t.subscribers
+                 (Probe.Recovery
+                    { time = now; failed = i; promoted; replayed }));
           (* Gray-failure runs only: probe the suspected server after its
              lease expired. While the partition is open every probe
              attempt dies at the wall (a pure timing computation — no
@@ -150,7 +149,8 @@ let spawn_lease_monitor t ~shard:si ~subset =
                          (Desim.Time.diff ack (Desim.Engine.now t.engine));
                      ignore
                        (Control_plane.rejoin_server t.cp ~dir:t.dir
-                          ~servers:t.servers ~zombie:i ~probe:t.probe
+                          ~servers:t.servers ~zombie:i
+                          ~subscribers:t.subscribers
                           ~now:(Desim.Engine.now t.engine)
                         : int * int)
                    with Fabric.Scl.Node_dead _ -> ()
@@ -218,9 +218,9 @@ let spawn_shard_monitor t =
 
 (* Home-page migration executor: copy the line's current bytes and
    version from the old home to the new one (and its mirror), repoint the
-   directory, and publish the unchanged version at the new home so a
-   probe's last-snapshot map follows the move. The copy is modeled as a
-   background transfer with no client-visible latency; what the
+   directory, and publish the unchanged version at the new home so an
+   observer's last-snapshot map follows the move. The copy is modeled as
+   a background transfer with no client-visible latency; what the
    simulation measures is the locality change on subsequent fetches. *)
 let migrator t ~line ~target =
   let cur = Directory.logical_of_line t.dir t.cfg ~line in
@@ -243,18 +243,17 @@ let migrator t ~line ~target =
          Memory_server.force_version b line v
        | None -> ());
       Directory.set_home t.dir ~line ~logical:target;
-      (match t.probe with
-       | Some p ->
-         p.Probe.on_publish ~thread:(-1)
-           ~time:(Desim.Engine.now t.engine)
-           ~server:dst_phys ~line ~version:v
-           ~data:(Memory_server.line dst line)
-       | None -> ());
+      if t.subscribers != [] then
+        Probe.emit t.subscribers
+          (Probe.Publish
+             { thread = -1; time = Desim.Engine.now t.engine;
+               server = dst_phys; line; version = v;
+               data = Memory_server.line dst line });
       true
     end
   end
 
-let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
+let create ?(config = Config.default) ~threads () =
   (match Config.validate config with
    | Ok () -> ()
    | Error msg -> invalid_arg ("System.create: " ^ msg));
@@ -270,10 +269,8 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       Some (Desim.Engine.shuffle_tie_break ~seed:config.Config.seed)
     else None
   in
-  if config.Config.domains > 1 && Desim.Trace.enabled trace then
-    invalid_arg "System.create: tracing requires domains = 1";
   let engine =
-    Desim.Engine.create ~trace ?tie_break ~domains:config.Config.domains ()
+    Desim.Engine.create ?tie_break ~domains:config.Config.domains ()
   in
   let ms = config.Config.memory_servers in
   let tpn = config.Config.threads_per_node in
@@ -354,6 +351,12 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       (fun i srv ->
          Memory_server.set_backup srv servers.(Directory.backup_of dir i))
       servers;
+  let san =
+    if config.Config.sanitize then
+      Some
+        (Analysis.Regcsan.create ~threads ~page_bytes:config.Config.page_bytes)
+    else None
+  in
   let t =
     { cfg = config;
       layout;
@@ -363,18 +366,13 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       dir;
       cp;
       sc = Coherence_sc.create ~max_threads:config.Config.max_threads ();
-      san =
-        (if config.Config.sanitize then
-           Some
-             (Analysis.Regcsan.create ~threads
-                ~page_bytes:config.Config.page_bytes)
-         else None);
+      san;
       total_threads = threads;
       first_compute_node;
       threads_rev = [];
       next_thread = 0;
       finished = Atomic.make 0;
-      probe = None }
+      subscribers = Option.to_list (Option.map Probe.regcsan san) }
   in
   if config.Config.home_migration then
     Array.iter (fun sh -> Manager_shard.set_migrator sh (migrator t)) shards;
@@ -421,16 +419,15 @@ let directory t = t.dir
 let total_threads t = t.total_threads
 let sanitizer t = t.san
 
-let set_probe t probe =
+let subscribe t f =
   if t.next_thread > 0 then
-    invalid_arg "System.set_probe: attach the probe before spawning threads";
+    invalid_arg "System.subscribe: subscribe before spawning threads";
+  (* The message keeps its original wording: callers match on it. *)
   if t.cfg.Config.domains > 1 then
     invalid_arg
       "System.set_probe: probes observe the global sequential schedule \
        and require domains = 1";
-  t.probe <- Some probe
-
-let probe t = t.probe
+  t.subscribers <- t.subscribers @ [ f ]
 
 let mutex t = Control_plane.mutex_create t.cp
 let barrier t ~parties = Control_plane.barrier_create t.cp ~parties
@@ -445,8 +442,7 @@ let env t : Thread_ctx.env =
     dir = t.dir;
     cp = t.cp;
     sc = t.sc;
-    san = t.san;
-    probe = t.probe }
+    subscribers = t.subscribers }
 
 let spawn t body =
   if t.next_thread >= t.total_threads then

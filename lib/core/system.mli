@@ -13,9 +13,10 @@
 
 type t
 
-val create :
-  ?trace:Desim.Trace.t -> ?config:Config.t -> threads:int -> unit -> t
-(** Build a system able to host [threads] compute threads. Raises
+val create : ?config:Config.t -> threads:int -> unit -> t
+(** Build a system able to host [threads] compute threads. With
+    [Config.sanitize] set, RegCSan ({!sanitizer}) is its first
+    subscriber ({!subscribe}). Raises
     [Invalid_argument] if the configuration fails {!Config.validate} or if
     [threads] exceeds the configuration's [max_threads] field. *)
 
@@ -42,14 +43,14 @@ val sanitizer : t -> Analysis.Regcsan.t option
 (** The RegCSan instance observing this system, when
     [Config.sanitize] is set. Query it after {!run} for findings. *)
 
-val set_probe : t -> Probe.t -> unit
-(** Attach a protocol-event observer ({!Probe.t}); the torture oracle
-    subscribes through this. Must be called before the first {!spawn}
-    (raises [Invalid_argument] otherwise) so every thread sees it.
-    Probes observe the global sequential schedule, so this also raises
-    when [Config.domains > 1]. *)
-
-val probe : t -> Probe.t option
+val subscribe : t -> Probe.subscriber -> unit
+(** Append an observer to the event stream ({!Probe}); subscribers hear
+    every event in subscription order. The torture oracle, RegCCheck's
+    footprint recorder and test recorders subscribe through this. Must
+    be called before the first {!spawn} (raises [Invalid_argument]
+    otherwise) so every thread sees it. Observers hear the global
+    sequential schedule, so this also raises when
+    [Config.domains > 1]. *)
 
 val mutex : t -> Manager_shard.lock_id
 (** Create a mutex (setup-time operation; no simulated cost). *)

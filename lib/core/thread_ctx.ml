@@ -11,10 +11,7 @@ type env = {
       (** The sharded control plane; sync objects resolve to their shard
           per request, so a shard takeover is picked up transparently. *)
   sc : Coherence_sc.t;  (** Directory for the Sc_invalidate model. *)
-  san : Analysis.Regcsan.t option;
-      (** RegCSan access-stream analyzer ([Config.sanitize]). *)
-  probe : Probe.t option;
-      (** Protocol-event observer (torture oracle); see {!Probe}. *)
+  subscribers : Probe.subscriber list;  (** The observer stream. *)
 }
 
 type t = {
@@ -300,72 +297,34 @@ let mirror_update t srv (u : Update.t) ~line_versions =
          Memory_server.force_version b line v)
       line_versions
 
-(* Protocol-event tracing: free when the engine's trace is Null. *)
-let trace t ~tag fmt =
-  let tr = Desim.Engine.trace t.e.engine in
-  Desim.Trace.emitf tr ~time:(now t) ~tag fmt
+(* The observer stream ({!Probe}): every emit site is one branch on the
+   immutable subscriber list and builds its event only past it, so with
+   no subscriber (the default) nothing is allocated. *)
+let observed t = t.e.subscribers != []
+let emit t ev = Probe.emit t.e.subscribers ev
 
-let traced t = Desim.Trace.enabled (Desim.Engine.trace t.e.engine)
+let observe_read t ~addr ~len =
+  if observed t then
+    emit t (Probe.Read { thread = t.id; time = now t; addr; len; value = None })
 
-(* RegCSan hooks: with the analyzer disabled (the default) each access pays
-   exactly one branch on an immutable field — nothing is allocated and no
-   event is constructed. *)
+let held_lock t = match t.held with (l, _) :: _ -> l | [] -> -1
 
-let san_read t ~addr ~len =
-  match t.e.san with
-  | None -> ()
-  | Some s -> Analysis.Regcsan.on_read s ~thread:t.id ~time:(now t) ~addr ~len
-
-let san_write t ~addr ~len =
-  match t.e.san with
-  | None -> ()
-  | Some s ->
-    let lock = match t.held with (l, _) :: _ -> l | [] -> -1 in
-    Analysis.Regcsan.on_write s ~thread:t.id ~time:(now t) ~addr ~len ~lock
-
-(* Probe hooks follow the same discipline: one branch per event site when
-   no observer is attached. *)
-
-let probe_read t ~addr ~len ~value =
-  match t.e.probe with
-  | None -> ()
-  | Some p -> p.Probe.on_read ~thread:t.id ~time:(now t) ~addr ~len ~value
-
-let probe_write t ~addr ~len ~value =
-  match t.e.probe with
-  | None -> ()
-  | Some p -> p.Probe.on_write ~thread:t.id ~time:(now t) ~addr ~len ~value
-
-(* i64 variants: the [Some v] option cell is built only after the observer
-   check, so the disabled-probe path (the default) allocates nothing. *)
-
-let probe_read_i64 t ~addr v =
-  match t.e.probe with
-  | None -> ()
-  | Some p ->
-    p.Probe.on_read ~thread:t.id ~time:(now t) ~addr ~len:8 ~value:(Some v)
-
-let probe_write_i64 t ~addr v =
-  match t.e.probe with
-  | None -> ()
-  | Some p ->
-    p.Probe.on_write ~thread:t.id ~time:(now t) ~addr ~len:8 ~value:(Some v)
+let observe_write t ~addr ~len =
+  if observed t then
+    emit t
+      (Probe.Write
+         { thread = t.id; time = now t; addr; len; value = None;
+           lock = held_lock t })
 
 (* Publication: the home's line now holds the merged bytes at [version];
    this is the instant the data becomes RegC-visible to later acquirers
    and barrier crossers. The buffer is borrowed (the server's live line). *)
-let probe_publish t ~srv ~line ~version =
-  match t.e.probe with
-  | None -> ()
-  | Some p ->
-    p.Probe.on_publish ~thread:t.id ~time:(now t)
-      ~server:(Memory_server.id srv) ~line ~version
-      ~data:(Memory_server.line srv line)
-
-let probe_sync t op =
-  match t.e.probe with
-  | None -> ()
-  | Some p -> p.Probe.on_sync ~thread:t.id ~time:(now t) ~op
+let observe_publish t ~srv ~line ~version =
+  if observed t then
+    emit t
+      (Probe.Publish
+         { thread = t.id; time = now t; server = Memory_server.id srv; line;
+           version; data = Memory_server.line srv line })
 
 let forget_last t (e : Cache.entry) =
   match t.last with
@@ -430,10 +389,12 @@ let flush_entry t (entry : Cache.entry) =
             end;
             (srv, v))
       in
-      probe_publish t ~srv ~line:entry.Cache.line ~version:v;
-      if traced t then
-        trace t ~tag:"flush" "t%d line=%d bytes=%d v=%d (eviction)" t.id
-          entry.Cache.line (Diff.payload_bytes diff) v;
+      observe_publish t ~srv ~line:entry.Cache.line ~version:v;
+      if observed t then
+        emit t
+          (Probe.Evict_flush
+             { thread = t.id; time = now t; line = entry.Cache.line;
+               bytes = payload; version = v });
       Hashtbl.replace t.interval_writes entry.Cache.line ();
       Cache.clean t.cache entry ~version:v
     end
@@ -517,7 +478,7 @@ let flush_dirty_all t =
                   let srv = server_of t entry.Cache.line in
                   let v = Memory_server.apply_diff srv diff in
                   if mirrored then mirror_diff srv diff ~version:v;
-                  probe_publish t ~srv ~line:entry.Cache.line ~version:v;
+                  observe_publish t ~srv ~line:entry.Cache.line ~version:v;
                   Hashtbl.replace t.interval_writes entry.Cache.line ();
                   Cache.clean t.cache entry ~version:v;
                   (entry.Cache.line, v))
@@ -705,9 +666,11 @@ let rec demand_fetch t line : Cache.entry =
        epoch-current replica. *)
     fence t ~logical ~epoch;
     let data, version = Memory_server.fetch srv line in
-    if traced t then
-      trace t ~tag:"fetch" "t%d line=%d v=%d from server %d" t.id line
-        version (Memory_server.id srv);
+    if observed t then
+      emit t
+        (Probe.Fetch
+           { thread = t.id; time = now t; line; version;
+             server = Memory_server.id srv });
     install t ~line ~data ~version
 
 (* The directory transaction of an SC fetch/upgrade must execute without
@@ -880,15 +843,20 @@ let check_aligned addr =
 let read_i64 t addr =
   check_aligned addr;
   let entry = locate t addr in
-  san_read t ~addr ~len:8;
   let v = Bytes.get_int64_le entry.Cache.data (line_off t addr) in
-  probe_read_i64 t ~addr v;
+  if observed t then
+    emit t
+      (Probe.Read
+         { thread = t.id; time = now t; addr; len = 8; value = Some v });
   v
 
 let write_i64 t addr v =
   check_aligned addr;
-  san_write t ~addr ~len:8;
-  probe_write_i64 t ~addr v;
+  if observed t then
+    emit t
+      (Probe.Write
+         { thread = t.id; time = now t; addr; len = 8; value = Some v;
+           lock = held_lock t });
   match t.e.cfg.Config.model with
   | Config.Sc_invalidate ->
     sc_store t addr ~store:(fun (e : Cache.entry) off ->
@@ -926,10 +894,7 @@ let charge_extra_words t seg =
 
 let write_bytes t addr src =
   let len = Bytes.length src in
-  if len > 0 then begin
-    san_write t ~addr ~len;
-    probe_write t ~addr ~len ~value:None
-  end;
+  if len > 0 then observe_write t ~addr ~len;
   let pos = ref 0 in
   while !pos < len do
     let a = addr + !pos in
@@ -962,10 +927,7 @@ let write_bytes t addr src =
 
 let read_bytes t addr ~len =
   if len < 0 then invalid_arg "Samhita.read_bytes: negative length";
-  if len > 0 then begin
-    san_read t ~addr ~len;
-    probe_read t ~addr ~len ~value:None
-  end;
+  if len > 0 then observe_read t ~addr ~len;
   let out = Bytes.create len in
   let pos = ref 0 in
   while !pos < len do
@@ -981,8 +943,7 @@ let read_bytes t addr ~len =
 
 let read_u8 t addr =
   let entry = locate t addr in
-  san_read t ~addr ~len:1;
-  probe_read t ~addr ~len:1 ~value:None;
+  observe_read t ~addr ~len:1;
   Char.code (Bytes.get entry.Cache.data (line_off t addr))
 
 let write_u8 t addr v =
@@ -997,8 +958,7 @@ let check_aligned4 addr =
 let read_i32 t addr =
   check_aligned4 addr;
   let entry = locate t addr in
-  san_read t ~addr ~len:4;
-  probe_read t ~addr ~len:4 ~value:None;
+  observe_read t ~addr ~len:4;
   Bytes.get_int32_le entry.Cache.data (line_off t addr)
 
 let write_i32 t addr v =
@@ -1063,26 +1023,13 @@ let rec malloc_impl t ~bytes =
 
 let malloc t ~bytes =
   let addr = malloc_impl t ~bytes in
-  (match t.e.san with
-   | None -> ()
-   | Some s ->
-     Analysis.Regcsan.on_malloc s ~thread:t.id ~time:(now t) ~addr ~bytes);
-  (match t.e.probe with
-   | None -> ()
-   | Some p -> p.Probe.on_malloc ~thread:t.id ~time:(now t) ~addr ~bytes);
+  if observed t then
+    emit t (Probe.Malloc { thread = t.id; time = now t; addr; bytes });
   addr
 
 let free t ~addr ~bytes =
-  (match t.e.san with
-   | None -> ()
-   | Some s when bytes > 0 ->
-     Analysis.Regcsan.on_free s ~thread:t.id ~time:(now t) ~addr ~bytes
-   | Some _ -> ());
-  (match t.e.probe with
-   | None -> ()
-   | Some p when bytes > 0 ->
-     p.Probe.on_free ~thread:t.id ~time:(now t) ~addr ~bytes
-   | Some _ -> ());
+  if observed t && bytes > 0 then
+    emit t (Probe.Free { thread = t.id; time = now t; addr; bytes });
   if bytes > 0 && bytes <= t.e.cfg.Config.small_threshold then
     Allocator.Arena.free t.arena ~addr ~bytes
 
@@ -1219,7 +1166,7 @@ let flush_update_log t log =
                     mirror_update t srv u ~line_versions:lvs;
                   List.iter
                     (fun (line, v) ->
-                       probe_publish t ~srv ~line ~version:v;
+                       observe_publish t ~srv ~line ~version:v;
                        Hashtbl.replace merged line v;
                        (* Our own cached copy already holds the stored
                           values; track the new home version so barrier
@@ -1243,10 +1190,8 @@ let flush_update_log t log =
 
 let mutex_lock t lock =
   sync_clock t;
-  (match t.e.san with
-   | None -> ()
-   | Some s ->
-     Analysis.Regcsan.on_lock_attempt s ~thread:t.id ~time:(now t) ~lock);
+  if observed t then
+    emit t (Probe.Lock_attempt { thread = t.id; time = now t; lock });
   let start = now t in
   let last_seen =
     Option.value (Hashtbl.find_opt t.lock_seen lock) ~default:0
@@ -1290,32 +1235,29 @@ let mutex_lock t lock =
         | Ok g -> g
         | Error (n, at) -> raise (Fabric.Scl.Node_dead (n, at)))
   in
-  if traced t then
-    trace t ~tag:"acquire" "t%d lock=%d v=%d action=%s" t.id lock
-      grant.Manager_shard.lock_version
-      (match grant.Manager_shard.action with
-       | Manager_shard.Fresh -> "fresh"
-       | Manager_shard.Patch (log, _) ->
-         Printf.sprintf "patch(%d updates)" (List.length log)
-       | Manager_shard.Notices ns ->
-         Printf.sprintf "notices(%d lines)" (List.length ns));
+  if observed t then
+    emit t
+      (Probe.Grant
+         { thread = t.id; time = now t; lock;
+           version = grant.Manager_shard.lock_version;
+           action =
+             (match grant.Manager_shard.action with
+              | Manager_shard.Fresh -> Probe.Fresh
+              | Manager_shard.Patch (log, _) -> Probe.Patch (List.length log)
+              | Manager_shard.Notices ns -> Probe.Notices (List.length ns)) });
   apply_grant t grant;
   Hashtbl.replace t.lock_seen lock grant.Manager_shard.lock_version;
-  (match t.e.san with
-   | None -> ()
-   | Some s ->
-     Analysis.Regcsan.on_lock_acquired s ~thread:t.id ~time:(now t) ~lock);
-  probe_sync t (Probe.Lock_acquired lock);
+  if observed t then
+    emit t
+      (Probe.Sync { thread = t.id; time = now t; op = Lock_acquired lock });
   t.held <- (lock, ref []) :: t.held;
   t.m_locks <- t.m_locks + 1;
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 
 let mutex_unlock t lock =
   sync_clock t;
-  (match t.e.san with
-   | None -> ()
-   | Some s ->
-     Analysis.Regcsan.on_unlock s ~thread:t.id ~time:(now t) ~lock);
+  if observed t then
+    emit t (Probe.Unlock_start { thread = t.id; time = now t; lock });
   let start = now t in
   let log =
     match List.assoc_opt lock t.held with
@@ -1340,16 +1282,18 @@ let mutex_unlock t lock =
       in
       Manager_shard.lock_release mgr ~seq ~now:served ~lock ~thread:t.id ~log
         ~line_versions;
-      if traced t then
-        trace t ~tag:"release" "t%d lock=%d updates=%d lines=%d" t.id lock
-          (List.length log)
-          (List.length line_versions);
+      if observed t then
+        emit t
+          (Probe.Release
+             { thread = t.id; time = now t; lock; updates = List.length log;
+               lines = List.length line_versions });
       Hashtbl.replace t.lock_seen lock (Manager_shard.lock_version mgr lock);
       let reply =
         transfer_from t ~src:mep ~at:served ~bytes:Manager_shard.ack_wire
       in
       delay_until t reply);
-  probe_sync t (Probe.Unlock lock);
+  if observed t then
+    emit t (Probe.Sync { thread = t.id; time = now t; op = Unlock lock });
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 
 let barrier_wait t barrier =
@@ -1368,16 +1312,11 @@ let barrier_wait t barrier =
     Manager_shard.barrier_epoch (Control_plane.shard_for t.e.cp barrier)
       barrier
   in
-  let epoch = if t.e.san = None && t.e.probe = None then -1 else aepoch in
-  (match t.e.san with
-   | None -> ()
-   | Some s ->
-     Analysis.Regcsan.on_barrier_arrive s ~thread:t.id ~barrier ~epoch);
-  (match t.e.probe with
-   | None -> ()
-   | Some p ->
-     p.Probe.on_barrier ~thread:t.id ~time:(now t) ~barrier ~epoch
-       ~phase:`Arrive);
+  if observed t then
+    emit t
+      (Probe.Barrier
+         { thread = t.id; time = now t; barrier; epoch = aepoch;
+           phase = `Arrive; notices = 0 });
   let all, _reply_wire =
     with_shard_failover t (fun () ->
         let mgr = Control_plane.shard_for t.e.cp barrier in
@@ -1409,18 +1348,11 @@ let barrier_wait t barrier =
         | Ok r -> r
         | Error (n, at) -> raise (Fabric.Scl.Node_dead (n, at)))
   in
-  if traced t then
-    trace t ~tag:"barrier" "t%d barrier=%d notices=%d" t.id barrier
-      (List.length all);
-  (match t.e.san with
-   | None -> ()
-   | Some s ->
-     Analysis.Regcsan.on_barrier_depart s ~thread:t.id ~barrier ~epoch);
-  (match t.e.probe with
-   | None -> ()
-   | Some p ->
-     p.Probe.on_barrier ~thread:t.id ~time:(now t) ~barrier ~epoch
-       ~phase:`Depart);
+  if observed t then
+    emit t
+      (Probe.Barrier
+         { thread = t.id; time = now t; barrier; epoch = aepoch;
+           phase = `Depart; notices = List.length all });
   apply_writer_notices t all;
   t.m_barriers <- t.m_barriers + 1;
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
@@ -1477,19 +1409,15 @@ let cond_wait t cond lock =
                ignore (served : Desim.Time.t)
              with Fabric.Scl.Node_dead _ -> ());
          state := `Suspended wake));
-  (match t.e.san with
-   | None -> ()
-   | Some s -> Analysis.Regcsan.on_cond_wake s ~thread:t.id ~cond);
-  probe_sync t (Probe.Cond_wake cond);
+  if observed t then
+    emit t (Probe.Sync { thread = t.id; time = now t; op = Cond_wake cond });
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start;
   mutex_lock t lock
 
 let cond_wake_op t cond ~broadcast =
   sync_clock t;
-  (match t.e.san with
-   | None -> ()
-   | Some s -> Analysis.Regcsan.on_cond_signal s ~thread:t.id ~cond);
-  probe_sync t (Probe.Cond_signal cond);
+  if observed t then
+    emit t (Probe.Sync { thread = t.id; time = now t; op = Cond_signal cond });
   let start = now t in
   (* A shard-crash retry whose first attempt already signalled can wake a
      second waiter — a spurious wakeup, benign under the pthreads

@@ -37,12 +37,9 @@ type env = {
       (** The sharded control plane; sync objects resolve to their shard
           per request, so a shard takeover is picked up transparently. *)
   sc : Coherence_sc.t;  (** Directory for the Sc_invalidate model. *)
-  san : Analysis.Regcsan.t option;
-      (** RegCSan access-stream analyzer; [None] (the default) costs one
-          branch per access. *)
-  probe : Probe.t option;
-      (** Protocol-event observer (torture oracle); [None] (the default)
-          costs one branch per event site. *)
+  subscribers : Probe.subscriber list;
+      (** The observer stream ({!Probe}); empty (the default) costs one
+          branch per emit site and builds no event. *)
 }
 (** Shared runtime a thread plugs into (built by {!System}). *)
 

@@ -38,7 +38,6 @@ type t = {
      blocked rather than just how many. *)
   names : (int, string) Hashtbl.t;
   mutable next_pid : int;
-  trace : Trace.t;
   (* Controlled scheduler (model-checker support): when installed, every
      pop with two or more same-instant candidates asks the chooser which
      one runs, instead of letting the [(prio, seq)] tie order decide. *)
@@ -74,7 +73,7 @@ let cur_key = Domain.DLS.new_key (fun () -> 0)
 let cur () = Domain.DLS.get cur_key
 let set_cur p = Domain.DLS.set cur_key p
 
-let create ?(trace = Trace.null) ?tie_break ?(domains = 1) () =
+let create ?tie_break ?(domains = 1) () =
   if domains < 1 then invalid_arg "Engine.create: domains must be >= 1";
   set_cur 0;
   { now = Time.zero;
@@ -82,7 +81,6 @@ let create ?(trace = Trace.null) ?tie_break ?(domains = 1) () =
     live = 0;
     names = Hashtbl.create 16;
     next_pid = 0;
-    trace;
     chooser = None;
     quantum = 0;
     domains;
@@ -126,7 +124,6 @@ let local_now t =
   else match cur () with 0 -> t.now | p -> t.parts.(p - 1).p_now
 
 let now t = local_now t
-let trace t = t.trace
 
 let schedule_at t at thunk =
   let pnow = local_now t in
@@ -180,7 +177,7 @@ let wake_home t home thunk =
    wake so synchronization primitives may broadcast defensively. [pidx]
    is the partition the process lives on (0 in sequential mode);
    continuations never migrate partitions. *)
-let exec_process t pidx pid name body =
+let exec_process t pidx pid body =
   let open Effect.Deep in
   let finished () =
     if pidx = 0 then begin
@@ -195,13 +192,7 @@ let exec_process t pidx pid name body =
   in
   let handler =
     { retc = (fun () -> finished ());
-      exnc =
-        (fun exn ->
-           finished ();
-           if Trace.enabled t.trace then
-             Trace.emitf t.trace ~time:t.now ~tag:"process"
-               "%s raised %s" name (Printexc.to_string exn);
-           raise exn);
+      exnc = (fun exn -> finished (); raise exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
            match eff with
@@ -232,7 +223,7 @@ let spawn_on t ~part ?(delay = 0) ?(name = "process") body =
     t.next_pid <- pid + 1;
     t.live <- t.live + 1;
     Hashtbl.replace t.names pid name;
-    schedule t ~delay (fun () -> exec_process t 0 pid name body)
+    schedule t ~delay (fun () -> exec_process t 0 pid body)
   end
   else begin
     if part < 0 || part > t.domains then
@@ -245,7 +236,7 @@ let spawn_on t ~part ?(delay = 0) ?(name = "process") body =
     let delay = if delay < 0 then 0 else delay in
     Heap.push p.p_queue
       ~time:(Time.to_ns (Time.add p.p_now delay))
-      (fun () -> exec_process t part pid name body)
+      (fun () -> exec_process t part pid body)
   end
 
 let spawn t ?(delay = 0) ?(name = "process") body =
@@ -311,8 +302,6 @@ let run_par t =
     invalid_arg "Engine.run: the chooser requires a single-domain engine";
   if t.quantum > 0 then
     invalid_arg "Engine.run: a quantum requires a single-domain engine";
-  if Trace.enabled t.trace then
-    invalid_arg "Engine.run: tracing requires a single-domain engine";
   if t.lookahead < 1 then
     invalid_arg
       "Engine.run: a parallel run needs a positive lookahead \
@@ -580,7 +569,7 @@ let hub_run t f =
                   t.next_pid <- pid + 1;
                   t.live <- t.live + 1;
                   Hashtbl.replace t.names pid "hub-region";
-                  exec_process t 0 pid "hub-region" (fun () ->
+                  exec_process t 0 pid (fun () ->
                       let r =
                         match f () with v -> Ok v | exception e -> Error e
                       in

@@ -102,7 +102,7 @@ let hash_bytes b =
 let word_key v = Int64.to_int v lxor Int64.to_int (Int64.shift_right v 31)
 
 (* ------------------------------------------------------------------ *)
-(* Probe callbacks                                                     *)
+(* Event handlers                                                      *)
 
 let taint_words t ~addr ~len =
   let a0 = addr land lnot 7 and a1 = (addr + len - 1) land lnot 7 in
@@ -187,7 +187,7 @@ let on_publish t ~thread ~time ~server ~line ~version ~data =
       Hashtbl.replace set v ()
     end
   done;
-  (* Keep a snapshot (the probe's buffer is the home's live line). *)
+  (* Keep a snapshot (the event's buffer is the home's live line). *)
   Hashtbl.replace t.last_line (server, line) (Bytes.copy data, version)
 
 let on_malloc t ~thread ~time ~addr ~bytes =
@@ -296,29 +296,32 @@ let on_rejoin t ~time ~zombie ~primary ~copied =
     copied;
   t.rejoins_rev <- (time, zombie, primary, copied) :: t.rejoins_rev
 
-let probe t =
-  let ns = Desim.Time.to_ns in
-  { Samhita.Probe.on_read = (fun ~thread ~time ~addr ~len ~value ->
-        on_read t ~thread ~time:(ns time) ~addr ~len ~value);
-    on_write = (fun ~thread ~time ~addr ~len ~value ->
-        on_write t ~thread ~time:(ns time) ~addr ~len ~value);
-    on_publish = (fun ~thread ~time ~server ~line ~version ~data ->
-        on_publish t ~thread ~time:(ns time) ~server ~line ~version ~data);
-    on_malloc = (fun ~thread ~time ~addr ~bytes ->
-        on_malloc t ~thread ~time:(ns time) ~addr ~bytes);
-    on_free = (fun ~thread ~time ~addr ~bytes ->
-        on_free t ~thread ~time:(ns time) ~addr ~bytes);
-    on_barrier = (fun ~thread ~time ~barrier ~epoch ~phase ->
-        on_barrier t ~thread ~time:(ns time) ~barrier ~epoch ~phase);
-    on_sync = (fun ~thread ~time ~op -> on_sync t ~thread ~time:(ns time) ~op);
-    on_crash = (fun ~time ~node ~server ->
-        on_crash t ~time:(ns time) ~node ~server);
-    on_recovery = (fun ~time ~failed ~promoted ~replayed ->
-        on_recovery t ~time:(ns time) ~failed ~promoted ~replayed);
-    on_rejoin = (fun ~time ~zombie ~primary ~copied ->
-        on_rejoin t ~time:(ns time) ~zombie ~primary ~copied) }
+let observe t (ev : Samhita.Probe.event) =
+  let time = Desim.Time.to_ns (Samhita.Probe.time ev) in
+  match ev with
+  | Read { thread; addr; len; value; _ } ->
+    on_read t ~thread ~time ~addr ~len ~value
+  | Write { thread; addr; len; value; _ } ->
+    on_write t ~thread ~time ~addr ~len ~value
+  | Publish { thread; server; line; version; data; _ } ->
+    on_publish t ~thread ~time ~server ~line ~version ~data
+  | Malloc { thread; addr; bytes; _ } -> on_malloc t ~thread ~time ~addr ~bytes
+  | Free { thread; addr; bytes; _ } -> on_free t ~thread ~time ~addr ~bytes
+  | Barrier { thread; barrier; epoch; phase; _ } ->
+    on_barrier t ~thread ~time ~barrier ~epoch ~phase
+  | Sync { thread; op; _ } -> on_sync t ~thread ~time ~op
+  | Crash { node; server; _ } -> on_crash t ~time ~node ~server
+  | Recovery { failed; promoted; replayed; _ } ->
+    on_recovery t ~time ~failed ~promoted ~replayed
+  | Rejoin { zombie; primary; copied; _ } ->
+    on_rejoin t ~time ~zombie ~primary ~copied
+  (* Protocol detail the legality checks do not need; the digest and the
+     event count cover exactly the events above. *)
+  | Lock_attempt _ | Grant _ | Unlock_start _ | Release _ | Fetch _
+  | Evict_flush _ ->
+    ()
 
-let attach t sys = Samhita.System.set_probe sys (probe t)
+let attach t sys = Samhita.System.subscribe sys (observe t)
 
 (* ------------------------------------------------------------------ *)
 (* End-of-run invariants                                               *)
@@ -344,7 +347,7 @@ let finalize t sys =
                    e.Samhita.Cache.dirty_pages))
          (Samhita.Cache.entries (Samhita.Thread_ctx.cache ctx)))
     (Samhita.System.threads sys);
-  (* Home divergence: home lines change only through probed merge paths,
+  (* Home divergence: home lines change only through observed merge paths,
      so each must still equal its last published snapshot (this also
      checks diff application is idempotent with respect to replays the
      retry layer could cause). *)

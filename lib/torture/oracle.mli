@@ -1,6 +1,7 @@
 (** The torture harness's linearizable-memory oracle.
 
-    A shadow of the global address space fed by a {!Samhita.Probe}: every
+    A shadow of the global address space fed by the observer stream
+    ({!Samhita.Probe}): every
     home-side merge (diff or update-log application) is recorded as a
     {e publication}, and every word-sized [read] is checked against the
     set of RegC-legal values for its address —
@@ -20,7 +21,7 @@
     {!finalize} adds end-of-run invariants: no twin/dirty residue in any
     cache (a consistency point must clean what it flushes), home lines
     bit-identical to their last observed publication (nothing mutates a
-    home unprobed), balanced barrier episodes, and allocator sanity
+    home unobserved), balanced barrier episodes, and allocator sanity
     (overlap, invalid free) accumulated during the run.
 
     Every event also folds into a stream {!digest}, so two runs of one
@@ -36,14 +37,16 @@ type t
 
 val create : config:Samhita.Config.t -> unit -> t
 
-val probe : t -> Samhita.Probe.t
+val observe : t -> Samhita.Probe.subscriber
+(** Fold one event into the shadow state, the digest and the trace
+    ring. *)
 
 val attach : t -> Samhita.System.t -> unit
-(** [Samhita.System.set_probe] with this oracle's {!probe}; call from the
-    backend's [on_create] (before any spawn). *)
+(** [Samhita.System.subscribe] with {!observe}; call from the backend's
+    [on_create] (before any spawn). *)
 
 val note_violation : t -> v_class:string -> string -> unit
-(** Record a violation found outside the probe stream (checksum mismatch,
+(** Record a violation found outside the event stream (checksum mismatch,
     deadlock, nondeterminism) so one report carries everything. *)
 
 val finalize : t -> Samhita.System.t -> unit
@@ -62,7 +65,9 @@ val violations : t -> violation list
 (** All violations, in detection order. *)
 
 val events : t -> int
-(** Probe events observed. *)
+(** Events folded into the shadow state (every constructor except the
+    protocol-detail ones: lock attempts, grants, unlock starts, releases,
+    fetches and eviction flushes). *)
 
 val crashes : t -> int
 (** Fail-stop crash detections observed (0 or 1 today). *)

@@ -277,7 +277,7 @@ let test_probe_rejected_parallel () =
     (Invalid_argument
        "System.set_probe: probes observe the global sequential schedule \
         and require domains = 1") (fun () ->
-      Samhita.System.set_probe sys Samhita.Probe.nothing)
+      Samhita.System.subscribe sys ignore)
 
 (* ------------------------------------------------------------------ *)
 (* Kernels and serving: parallel equals sequential, field for field *)

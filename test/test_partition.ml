@@ -158,19 +158,22 @@ let test_directory_epoch_fence () =
 
 let test_oracle_split_brain () =
   let oracle = Torture.Oracle.create ~config:cfg () in
-  let p = Torture.Oracle.probe oracle in
   let data = Bytes.create line_bytes in
   let at ns = Desim.Time.of_ns ns in
-  p.Samhita.Probe.on_recovery ~time:(at 100_000) ~failed:0 ~promoted:1
-    ~replayed:0;
+  let publish ~time ~server ~version =
+    Torture.Oracle.observe oracle
+      (Samhita.Probe.Publish
+         { thread = 0; time = at time; server; line = 3; version; data })
+  in
+  Torture.Oracle.observe oracle
+    (Samhita.Probe.Recovery
+       { time = at 100_000; failed = 0; promoted = 1; replayed = 0 });
   (* A publication at the promoted server is fine. *)
-  p.Samhita.Probe.on_publish ~thread:0 ~time:(at 150_000) ~server:1 ~line:3
-    ~version:1 ~data;
+  publish ~time:150_000 ~server:1 ~version:1;
   Alcotest.(check int) "promoted server publishes freely" 0
     (List.length (Torture.Oracle.violations oracle));
   (* A publication routed through the deposed primary is split-brain. *)
-  p.Samhita.Probe.on_publish ~thread:0 ~time:(at 150_001) ~server:0 ~line:3
-    ~version:2 ~data;
+  publish ~time:150_001 ~server:0 ~version:2;
   match Torture.Oracle.violations oracle with
   | [ v ] ->
     Alcotest.(check string) "classified" "split-brain"

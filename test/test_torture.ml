@@ -14,19 +14,25 @@ let classes o =
 
 (* ---------------- Oracle legality (fed directly, no system) -------- *)
 
+let read o ~thread ~time ~addr v =
+  Torture.Oracle.observe o
+    (Samhita.Probe.Read
+       { thread; time = t_ns time; addr; len = 8; value = Some v })
+
+let write o ~thread ~time ~addr ~len value =
+  Torture.Oracle.observe o
+    (Samhita.Probe.Write
+       { thread; time = t_ns time; addr; len; value; lock = -1 })
+
 let test_oracle_zero_legal () =
   let o = mk_oracle () in
-  let p = Torture.Oracle.probe o in
-  p.Samhita.Probe.on_read ~thread:0 ~time:(t_ns 10) ~addr:64 ~len:8
-    ~value:(Some 0L);
+  read o ~thread:0 ~time:10 ~addr:64 0L;
   Alcotest.(check (list string)) "initial zero is legal" [] (classes o);
   Alcotest.(check int) "read was checked" 1 (Torture.Oracle.reads_checked o)
 
 let test_oracle_flags_illegal_read () =
   let o = mk_oracle () in
-  let p = Torture.Oracle.probe o in
-  p.Samhita.Probe.on_read ~thread:0 ~time:(t_ns 10) ~addr:64 ~len:8
-    ~value:(Some 0xDEADL);
+  read o ~thread:0 ~time:10 ~addr:64 0xDEADL;
   Alcotest.(check (list string)) "unsourced value flagged"
     [ "illegal-read" ] (classes o);
   Alcotest.(check bool) "trace contextualizes it" true
@@ -34,72 +40,63 @@ let test_oracle_flags_illegal_read () =
 
 let test_oracle_own_store_legal () =
   let o = mk_oracle () in
-  let p = Torture.Oracle.probe o in
-  p.Samhita.Probe.on_write ~thread:2 ~time:(t_ns 1) ~addr:128 ~len:8
-    ~value:(Some 7L);
-  p.Samhita.Probe.on_read ~thread:2 ~time:(t_ns 2) ~addr:128 ~len:8
-    ~value:(Some 7L);
+  write o ~thread:2 ~time:1 ~addr:128 ~len:8 (Some 7L);
+  read o ~thread:2 ~time:2 ~addr:128 7L;
   Alcotest.(check (list string)) "own last store is legal" [] (classes o);
   (* Another thread has no such edge: 7 was never published. *)
-  p.Samhita.Probe.on_read ~thread:3 ~time:(t_ns 3) ~addr:128 ~len:8
-    ~value:(Some 7L);
+  read o ~thread:3 ~time:3 ~addr:128 7L;
   Alcotest.(check (list string)) "other thread may not see it"
     [ "illegal-read" ] (classes o)
 
 let test_oracle_published_history_legal () =
   let o = mk_oracle () in
-  let p = Torture.Oracle.probe o in
   let publish v =
     let data = Bytes.make line_bytes '\000' in
     Bytes.set_int64_le data 0 v;
-    p.Samhita.Probe.on_publish ~thread:0 ~time:(t_ns 5) ~server:0 ~line:2
-      ~version:1 ~data
+    Torture.Oracle.observe o
+      (Samhita.Probe.Publish
+         { thread = 0; time = t_ns 5; server = 0; line = 2; version = 1; data })
   in
   publish 11L;
   publish 22L;
   let addr = 2 * line_bytes in
   (* RegC permits stale reads: the full history is legal, not just the
      newest publication. *)
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 6) ~addr ~len:8
-    ~value:(Some 22L);
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 7) ~addr ~len:8
-    ~value:(Some 11L);
+  read o ~thread:1 ~time:6 ~addr 22L;
+  read o ~thread:1 ~time:7 ~addr 11L;
   Alcotest.(check (list string)) "published history legal" [] (classes o);
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 8) ~addr ~len:8
-    ~value:(Some 33L);
+  read o ~thread:1 ~time:8 ~addr 33L;
   Alcotest.(check (list string)) "unpublished value still flagged"
     [ "illegal-read" ] (classes o)
 
 let test_oracle_tainted_words_skipped () =
   let o = mk_oracle () in
-  let p = Torture.Oracle.probe o in
   (* A sub-word store taints the containing word; word-level legality is
      no longer expressible there, so reads of it are not checked. *)
-  p.Samhita.Probe.on_write ~thread:0 ~time:(t_ns 1) ~addr:68 ~len:4
-    ~value:None;
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 2) ~addr:64 ~len:8
-    ~value:(Some 0xBADL);
+  write o ~thread:0 ~time:1 ~addr:68 ~len:4 None;
+  read o ~thread:1 ~time:2 ~addr:64 0xBADL;
   Alcotest.(check (list string)) "tainted word not checked" [] (classes o);
   Alcotest.(check int) "and not counted as checked" 0
     (Torture.Oracle.reads_checked o)
 
 let test_oracle_alloc_invariants () =
   let o = mk_oracle () in
-  let p = Torture.Oracle.probe o in
-  p.Samhita.Probe.on_malloc ~thread:0 ~time:(t_ns 1) ~addr:1024 ~bytes:256;
-  p.Samhita.Probe.on_malloc ~thread:1 ~time:(t_ns 2) ~addr:1152 ~bytes:64;
-  p.Samhita.Probe.on_free ~thread:0 ~time:(t_ns 3) ~addr:4096 ~bytes:16;
+  let malloc thread time addr bytes =
+    Torture.Oracle.observe o
+      (Samhita.Probe.Malloc { thread; time = t_ns time; addr; bytes })
+  in
+  malloc 0 1 1024 256;
+  malloc 1 2 1152 64;
+  Torture.Oracle.observe o
+    (Samhita.Probe.Free { thread = 0; time = t_ns 3; addr = 4096; bytes = 16 });
   Alcotest.(check (list string)) "overlap and invalid free"
     [ "alloc-overlap"; "alloc-invalid-free" ] (classes o)
 
 let test_oracle_digest_order_sensitive () =
   let feed order =
     let o = mk_oracle () in
-    let p = Torture.Oracle.probe o in
     List.iter
-      (fun (thread, addr) ->
-         p.Samhita.Probe.on_write ~thread ~time:(t_ns 1) ~addr ~len:8
-           ~value:(Some 1L))
+      (fun (thread, addr) -> write o ~thread ~time:1 ~addr ~len:8 (Some 1L))
       order;
     Torture.Oracle.digest o
   in
