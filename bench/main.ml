@@ -37,16 +37,19 @@ let run_figures ~scale ~ids =
 (* Bechamel micro-benchmarks of the core primitives                    *)
 
 (* The cache-hit benchmarks drive a real Thread_ctx outside the engine:
-   a one-thread system faults a line in (and dirties it) during a warmup
-   run, after which repeated hits on that line perform no effects — the
-   access path is plain OCaml — so Bechamel can call it directly. *)
-let warmed_hit_ctx () =
+   a one-thread system faults [rows] rows [row_bytes] apart in (and
+   dirties them) during a warmup run, after which repeated hits on them
+   perform no effects — the access path is plain OCaml — so Bechamel can
+   call it directly. *)
+let warmed_hit_ctx ?(rows = 1) ?(row_bytes = 64) () =
   let sys = Samhita.System.create ~threads:1 () in
   let got = ref None in
   ignore
     (Samhita.System.spawn sys (fun t ->
-         let a = Samhita.Thread_ctx.malloc t ~bytes:64 in
-         Samhita.Thread_ctx.write_i64 t a 1L;
+         let a = Samhita.Thread_ctx.malloc t ~bytes:(rows * row_bytes) in
+         for r = 0 to rows - 1 do
+           Samhita.Thread_ctx.write_i64 t (a + (r * row_bytes)) 1L
+         done;
          got := Some (t, a))
      : Samhita.Thread_ctx.t);
   Samhita.System.run sys;
@@ -153,6 +156,18 @@ let bechamel_tests () =
       Test.make ~name:"thread.write_i64 (cache hit)"
         (Staged.stage (fun () -> Samhita.Thread_ctx.write_i64 t a 2L)) )
   in
+  (* The line-switching shape of every stencil kernel: three rows, each
+     on its own line, read in turn, so no access can be served by the
+     single-entry fast path of the previous access. *)
+  let thread_stencil =
+    let t, a = warmed_hit_ctx ~rows:3 ~row_bytes:line_bytes () in
+    Test.make ~name:"thread.read_f64 (3-line stencil)"
+      (Staged.stage (fun () ->
+           for r = 0 to 2 do
+             ignore
+               (Samhita.Thread_ctx.read_f64 t (a + (r * line_bytes)) : float)
+           done))
+  in
   let rng_bench =
     let rng = Desim.Rng.create ~seed:7 in
     Test.make ~name:"rng.int64"
@@ -177,6 +192,30 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            ignore (Smp.Machine.read_cost machine ~thread:0 ~addr : float)))
   in
+  let smp_stencil =
+    (* A Pthreads thread outside the engine, as for the Samhita cache-hit
+       micros: after the warmup run its reads only accumulate local cost.
+       Rows a Samhita line apart are distinct coherence lines too. *)
+    let sys = Smp.Runtime.create ~threads:1 () in
+    let got = ref None in
+    ignore
+      (Smp.Runtime.spawn sys (fun t ->
+           let a = Smp.Runtime.malloc t ~bytes:(3 * line_bytes) in
+           for r = 0 to 2 do
+             ignore (Smp.Runtime.read_f64 t (a + (r * line_bytes)) : float)
+           done;
+           got := Some (t, a))
+       : Smp.Runtime.thread);
+    Smp.Runtime.run sys;
+    let t, a =
+      match !got with Some ta -> ta | None -> failwith "warmup did not run"
+    in
+    Test.make ~name:"smp read_f64 (3-line stencil)"
+      (Staged.stage (fun () ->
+           for r = 0 to 2 do
+             ignore (Smp.Runtime.read_f64 t (a + (r * line_bytes)) : float)
+           done))
+  in
   let update_apply =
     let u = Samhita.Update.of_i64 ~addr:128 0x4000000000000000L in
     let buf = Bytes.make line_bytes '\000' in
@@ -185,8 +224,8 @@ let bechamel_tests () =
            Samhita.Update.apply_to_line layout u ~line:0 buf))
   in
   [ diff_make; diff_make_ref; diff_make_dense; diff_make_dense_ref;
-    diff_apply; heap_bench; cache_read_hit; cache_write_hit; rng_bench;
-    arena_bench; smp_read; update_apply ]
+    diff_apply; heap_bench; cache_read_hit; cache_write_hit; thread_stencil;
+    rng_bench; arena_bench; smp_read; smp_stencil; update_apply ]
 
 let run_bechamel () =
   let open Bechamel in

@@ -49,6 +49,10 @@ type t = {
   mutable tick : int;
   lru_clean : entry;  (* sentinel *)
   lru_dirty : entry;  (* sentinel *)
+  (* Never resident, never on a chain: the "no entry" value of callers
+     that keep a last-used entry without an option. One per cache, so
+     caches on different domains share no mutable value. *)
+  no_entry : entry;
   c_hits : Desim.Stats.Counter.t;
   c_misses : Desim.Stats.Counter.t;
   c_evictions : Desim.Stats.Counter.t;
@@ -74,6 +78,7 @@ let create (cfg : Config.t) layout =
     tick = 0;
     lru_clean = sentinel ();
     lru_dirty = sentinel ();
+    no_entry = sentinel ();
     c_hits = Desim.Stats.Counter.create ();
     c_misses = Desim.Stats.Counter.create ();
     c_evictions = Desim.Stats.Counter.create ();
@@ -81,6 +86,7 @@ let create (cfg : Config.t) layout =
     c_invalidations = Desim.Stats.Counter.create ();
     c_prefetch_installs = Desim.Stats.Counter.create () }
 
+let no_entry t = t.no_entry
 let capacity t = t.capacity
 let size t = Hashtbl.length t.table
 

@@ -40,6 +40,12 @@ type t
 
 val create : Config.t -> Layout.t -> t
 
+val no_entry : t -> entry
+(** A placeholder entry (line [-1]) that is never resident: a caller
+    keeping a last-used entry holds this instead of [None], so its
+    comparison [e.line = line] fails without an option. Never pass it to
+    any other function of this module. *)
+
 val capacity : t -> int
 val size : t -> int
 

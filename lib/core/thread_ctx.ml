@@ -25,8 +25,11 @@ type t = {
      would box a fresh float on every store, and this is written on every
      memory access. *)
   accum : floatarray;
-  (* Single-line fast path for the common repeated-hit case. *)
-  mutable last : Cache.entry option;
+  (* Single-line fast path for the common repeated-hit case: the last
+     entry located, or the cache's never-resident [Cache.no_entry] (line
+     -1, matching no address) — a plain field, so switching lines stores
+     a pointer instead of allocating a [Some]. *)
+  mutable last : Cache.entry;
   (* Held locks, innermost first, each with its consistency-region store
      log (newest store first). *)
   mutable held : (Manager_shard.lock_id * Update.t list ref) list;
@@ -60,14 +63,15 @@ let cond_request_wire = 32
 let barrier_arrive_overhead = 32
 
 let create e ~id ~node =
+  let cache = Cache.create e.cfg e.layout in
   let t =
     { id;
       e;
       endpoint = Fabric.Scl.endpoint e.network node;
-      cache = Cache.create e.cfg e.layout;
+      cache;
       arena = Allocator.Arena.create ();
       accum = Float.Array.make 1 0.;
-      last = None;
+      last = Cache.no_entry cache;
       held = [];
       lock_seen = Hashtbl.create 8;
       release_seq = Hashtbl.create 8;
@@ -92,11 +96,8 @@ let create e ~id ~node =
       p_invalidate =
         (fun line ->
            (match Cache.peek t.cache line with
-            | Some en -> (
-                match t.last with
-                | Some le when le == en -> t.last <- None
-                | _ -> ())
-            | None -> ());
+            | Some en when t.last == en -> t.last <- Cache.no_entry t.cache
+            | _ -> ());
            Cache.invalidate t.cache line);
       p_downgrade =
         (fun line ->
@@ -327,9 +328,7 @@ let observe_publish t ~srv ~line ~version =
            version; data = Memory_server.line srv line })
 
 let forget_last t (e : Cache.entry) =
-  match t.last with
-  | Some le when le == e -> t.last <- None
-  | _ -> ()
+  if t.last == e then t.last <- Cache.no_entry t.cache
 
 (* ------------------------------------------------------------------ *)
 (* Flushing (ordinary-region diffs)                                    *)
@@ -761,14 +760,14 @@ let locate t addr : Cache.entry =
   let line = addr lsr t.e.layout.Layout.line_shift in
   let entry =
     match t.last with
-    | Some e when e.Cache.line = line ->
+    | e when e.Cache.line = line ->
       Cache.note_hit t.cache;
       e
     | _ -> (
         match Cache.find_exn t.cache line with
         | e ->
           Cache.note_hit t.cache;
-          t.last <- Some e;
+          t.last <- e;
           e
         | exception Not_found ->
           (* Sync the clock before classifying: accumulated local time may
@@ -778,7 +777,7 @@ let locate t addr : Cache.entry =
           (match Cache.find_exn t.cache line with
            | e ->
              Cache.note_hit t.cache;
-             t.last <- Some e;
+             t.last <- e;
              e
            | exception Not_found ->
              Cache.note_miss t.cache;
@@ -796,8 +795,8 @@ let locate t addr : Cache.entry =
                 service instant), but the stale object must not become the
                 fast path. *)
              (match Cache.peek t.cache line with
-              | Some e' when e' == e -> t.last <- Some e
-              | _ -> t.last <- None);
+              | Some e' when e' == e -> t.last <- e
+              | _ -> t.last <- Cache.no_entry t.cache);
              e))
   in
   charge t t.e.cfg.Config.t_mem;
@@ -813,14 +812,14 @@ let sc_store t addr ~store =
   let line = addr lsr t.e.layout.Layout.line_shift in
   let off = addr land t.e.layout.Layout.line_mask in
   match t.last with
-  | Some e when e.Cache.line = line && e.Cache.excl ->
+  | e when e.Cache.line = line && e.Cache.excl ->
     Cache.note_hit t.cache;
     store e off
   | _ -> (
       match Cache.find t.cache line with
       | Some e when e.Cache.excl ->
         Cache.note_hit t.cache;
-        t.last <- Some e;
+        t.last <- e;
         store e off
       | _ ->
         Cache.note_miss t.cache;
@@ -830,8 +829,8 @@ let sc_store t addr ~store =
         t.m_compute <- t.m_compute + Desim.Time.diff (now t) start;
         (* Keep the fast path only if the grant survived the latency. *)
         (match Cache.peek t.cache line with
-         | Some e' when e' == e && e.Cache.excl -> t.last <- Some e
-         | _ -> t.last <- None))
+         | Some e' when e' == e && e.Cache.excl -> t.last <- e
+         | _ -> t.last <- Cache.no_entry t.cache))
 
 (* ------------------------------------------------------------------ *)
 (* Typed accessors                                                     *)
@@ -840,7 +839,16 @@ let check_aligned addr =
   if addr land 7 <> 0 then
     invalid_arg "Samhita: 8-byte accesses must be 8-byte aligned"
 
-let read_i64 t addr =
+(* Out of line: a closure in [write_word] would keep it from inlining. *)
+let sc_write_i64 t addr v =
+  sc_store t addr ~store:(fun (e : Cache.entry) off ->
+      Bytes.set_int64_le e.Cache.data off v)
+
+(* The 8-byte accessors share these bodies, inlined into the i64 and f64
+   entry points: the word stays unboxed on the access path and is boxed
+   only past the [observed] branch (or for the SC store driver or a
+   region-log entry, which allocate anyway). *)
+let[@inline] read_word t addr =
   check_aligned addr;
   let entry = locate t addr in
   let v = Bytes.get_int64_le entry.Cache.data (line_off t addr) in
@@ -850,7 +858,7 @@ let read_i64 t addr =
          { thread = t.id; time = now t; addr; len = 8; value = Some v });
   v
 
-let write_i64 t addr v =
+let[@inline] write_word t addr v =
   check_aligned addr;
   if observed t then
     emit t
@@ -858,9 +866,7 @@ let write_i64 t addr v =
          { thread = t.id; time = now t; addr; len = 8; value = Some v;
            lock = held_lock t });
   match t.e.cfg.Config.model with
-  | Config.Sc_invalidate ->
-    sc_store t addr ~store:(fun (e : Cache.entry) off ->
-        Bytes.set_int64_le e.Cache.data off v)
+  | Config.Sc_invalidate -> sc_write_i64 t addr v
   | Config.Regc ->
     let entry = locate t addr in
     let off = line_off t addr in
@@ -883,8 +889,10 @@ let write_i64 t addr v =
      | [] -> Cache.mark_written t.cache entry ~offset:off ~len:8);
     Bytes.set_int64_le entry.Cache.data off v
 
-let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
-let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
+let read_i64 t addr = read_word t addr
+let write_i64 t addr v = write_word t addr v
+let read_f64 t addr = Int64.float_of_bits (read_word t addr)
+let write_f64 t addr v = write_word t addr (Int64.bits_of_float v)
 
 (* Generic raw access, line segment by line segment. Bulk operations charge
    one cached-access cost per 8 bytes touched (locate charges the first). *)

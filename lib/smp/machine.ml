@@ -1,20 +1,22 @@
-(* Per coherence line: which threads hold a copy (bitmask) and the thread
-   holding it modified, or -1. Absent from the table = untouched (cold). *)
-type line_state = {
-  mutable present : int;
-  mutable owner : int;
-}
-
+(* Per coherence line, indexed by [addr lsr line_shift] and grown with
+   [data]: [present] is the bitmask of threads holding a copy and [owner]
+   the thread holding it modified, or -1. A touched line always has a
+   present bit, so [present = 0] (with [owner = -1]) is an untouched, cold
+   line — which the general transitions below already classify as a cold
+   miss, so there is no separate first-touch case. *)
 type t = {
   cfg : Config.t;
   mutable data : bytes;
   mutable used : int;
-  lines : (int, line_state) Hashtbl.t;
+  mutable present : int array;
+  mutable owner : int array;
   line_shift : int;
   mutable coherence_misses : int;
   mutable invalidations : int;
   mutable cold_misses : int;
 }
+
+type access = Hit | Cold | Coherence | Invalidate
 
 let log2 n =
   let rec go n acc = if n <= 1 then acc else go (n lsr 1) (acc + 1) in
@@ -25,23 +27,35 @@ let create (cfg : Config.t) =
    | Ok () -> ()
    | Error m -> invalid_arg ("Smp.Machine.create: " ^ m));
   { cfg;
-    data = Bytes.make (1 lsl 20) '\000';
+    data = Bytes.empty;
     used = 0;
-    lines = Hashtbl.create 1024;
+    present = [||];
+    owner = [||];
     line_shift = log2 cfg.Config.coherence_line;
     coherence_misses = 0;
     invalidations = 0;
     cold_misses = 0 }
 
+(* The store and its line state come into being at the first allocation
+   and grow together, by doubling from 1 MiB, so creating a machine costs
+   nothing until a run allocates. *)
 let grow t needed =
-  let size = ref (Bytes.length t.data) in
+  let size = ref (max (1 lsl 20) (Bytes.length t.data)) in
   while !size < needed do
     size := !size * 2
   done;
   if !size > Bytes.length t.data then begin
     let fresh = Bytes.make !size '\000' in
     Bytes.blit t.data 0 fresh 0 (Bytes.length t.data);
-    t.data <- fresh
+    t.data <- fresh;
+    let lines = ((!size - 1) lsr t.line_shift) + 1 in
+    let widen old fill =
+      let a = Array.make lines fill in
+      Array.blit old 0 a 0 (Array.length old);
+      a
+    in
+    t.present <- widen t.present 0;
+    t.owner <- widen t.owner (-1)
   end
 
 let alloc t ~bytes ~align =
@@ -55,70 +69,70 @@ let alloc t ~bytes ~align =
 
 let used_bytes t = t.used
 
-let state_of t addr = Hashtbl.find_opt t.lines (addr lsr t.line_shift)
-
-let read_cost t ~thread ~addr =
+(* Both classifiers read the line's state (bounds-checked, so an address
+   past the store raises before anything is recorded) and only then
+   update it. *)
+let read_class t ~thread ~addr =
+  let i = addr lsr t.line_shift in
+  let present = t.present.(i) and owner = t.owner.(i) in
   let bit = 1 lsl thread in
-  match state_of t addr with
-  | None ->
-    Hashtbl.replace t.lines (addr lsr t.line_shift)
-      { present = bit; owner = -1 };
-    t.cold_misses <- t.cold_misses + 1;
-    t.cfg.Config.t_cold_miss
-  | Some st ->
-    if st.present land bit <> 0 && (st.owner = thread || st.owner = -1) then
-      t.cfg.Config.t_mem
-    else begin
-      (* Copy supplied by the current owner (downgraded to shared) or by
-         another sharer/memory. *)
-      let cost =
-        if st.owner >= 0 && st.owner <> thread then begin
-          t.coherence_misses <- t.coherence_misses + 1;
-          t.cfg.Config.t_coherence_miss
-        end
-        else begin
-          t.cold_misses <- t.cold_misses + 1;
-          t.cfg.Config.t_cold_miss
-        end
-      in
-      st.owner <- -1;
-      st.present <- st.present lor bit;
-      cost
-    end
+  if present land bit <> 0 && (owner = thread || owner = -1) then Hit
+  else begin
+    (* Copy supplied by the current owner (downgraded to shared) or by
+       another sharer/memory. *)
+    let cls =
+      if owner >= 0 && owner <> thread then begin
+        t.coherence_misses <- t.coherence_misses + 1;
+        Coherence
+      end
+      else begin
+        t.cold_misses <- t.cold_misses + 1;
+        Cold
+      end
+    in
+    t.owner.(i) <- -1;
+    t.present.(i) <- present lor bit;
+    cls
+  end
 
-let write_cost t ~thread ~addr =
-  let bit = 1 lsl thread in
-  match state_of t addr with
-  | None ->
-    Hashtbl.replace t.lines (addr lsr t.line_shift)
-      { present = bit; owner = thread };
-    t.cold_misses <- t.cold_misses + 1;
-    t.cfg.Config.t_cold_miss
-  | Some st ->
-    if st.owner = thread then t.cfg.Config.t_mem
-    else begin
-      (* Upgrade: invalidate every other copy. *)
-      let others = st.present land lnot bit in
-      let cost =
-        if others <> 0 || st.owner >= 0 then begin
-          t.invalidations <- t.invalidations + 1;
-          t.cfg.Config.t_invalidate
-        end
-        else if st.present land bit <> 0 then t.cfg.Config.t_mem
-        else begin
-          t.cold_misses <- t.cold_misses + 1;
-          t.cfg.Config.t_cold_miss
-        end
-      in
-      st.present <- bit;
-      st.owner <- thread;
-      cost
-    end
+let write_class t ~thread ~addr =
+  let i = addr lsr t.line_shift in
+  let present = t.present.(i) and owner = t.owner.(i) in
+  if owner = thread then Hit
+  else begin
+    let bit = 1 lsl thread in
+    (* Upgrade: invalidate every other copy. *)
+    let cls =
+      if present land lnot bit <> 0 || owner >= 0 then begin
+        t.invalidations <- t.invalidations + 1;
+        Invalidate
+      end
+      else if present land bit <> 0 then Hit
+      else begin
+        t.cold_misses <- t.cold_misses + 1;
+        Cold
+      end
+    in
+    t.present.(i) <- bit;
+    t.owner.(i) <- thread;
+    cls
+  end
+
+let cost_ns (cfg : Config.t) = function
+  | Hit -> cfg.Config.t_mem
+  | Cold -> cfg.Config.t_cold_miss
+  | Coherence -> cfg.Config.t_coherence_miss
+  | Invalidate -> cfg.Config.t_invalidate
+
+let read_cost t ~thread ~addr = cost_ns t.cfg (read_class t ~thread ~addr)
+let write_cost t ~thread ~addr = cost_ns t.cfg (write_class t ~thread ~addr)
 
 let read_i64 t addr = Bytes.get_int64_le t.data addr
 let write_i64 t addr v = Bytes.set_int64_le t.data addr v
-let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
-let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
+let read_f64 t addr = Int64.float_of_bits (Bytes.get_int64_le t.data addr)
+
+let write_f64 t addr v =
+  Bytes.set_int64_le t.data addr (Int64.bits_of_float v)
 
 let coherence_misses t = t.coherence_misses
 let invalidations t = t.invalidations

@@ -120,16 +120,36 @@ let idle_until t target =
     end
   end
 
+(* Data first, then the coherence class: an out-of-range address raises
+   in the data access, before the machine records any line state. *)
+let charge_read t addr =
+  charge t
+    (Machine.cost_ns t.sys.cfg
+       (Machine.read_class t.sys.machine ~thread:t.id ~addr))
+
+let charge_write t addr =
+  charge t
+    (Machine.cost_ns t.sys.cfg
+       (Machine.write_class t.sys.machine ~thread:t.id ~addr))
+
 let read_i64 t addr =
-  charge t (Machine.read_cost t.sys.machine ~thread:t.id ~addr);
-  Machine.read_i64 t.sys.machine addr
+  let v = Machine.read_i64 t.sys.machine addr in
+  charge_read t addr;
+  v
 
 let write_i64 t addr v =
-  charge t (Machine.write_cost t.sys.machine ~thread:t.id ~addr);
-  Machine.write_i64 t.sys.machine addr v
+  Machine.write_i64 t.sys.machine addr v;
+  charge_write t addr
 
-let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
-let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
+let read_f64 t addr =
+  let v = Machine.read_f64 t.sys.machine addr in
+  charge_read t addr;
+  v
+
+let write_f64 t addr v =
+  Machine.write_f64 t.sys.machine addr v;
+  charge_write t addr
+
 let charge_flops t n = charge t (float_of_int n *. t.sys.cfg.Config.t_flop)
 
 let lock t m =

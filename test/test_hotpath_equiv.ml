@@ -351,10 +351,147 @@ let prop_coalesced_log_equivalent =
           <= Samhita.Update.log_wire_bytes !plain
        && List.length !coal <= List.length !plain)
 
+(* ------------------------------------------------------------------ *)
+(* Flat SMP line state vs. the per-line Hashtbl it replaced            *)
+
+(* Reference: the retired [Smp.Machine] coherence model, one record per
+   touched line in a Hashtbl, absent = cold. *)
+module Smp_reference = struct
+  type line = { mutable present : int; mutable owner : int }
+
+  type t = {
+    lines : (int, line) Hashtbl.t;
+    mutable cold : int;
+    mutable coherence : int;
+    mutable invalidations : int;
+  }
+
+  let c = Smp.Config.default
+
+  let create () =
+    { lines = Hashtbl.create 16; cold = 0; coherence = 0; invalidations = 0 }
+
+  let cold t =
+    t.cold <- t.cold + 1;
+    c.Smp.Config.t_cold_miss
+
+  let read t ~thread ~line =
+    let bit = 1 lsl thread in
+    match Hashtbl.find_opt t.lines line with
+    | None ->
+      Hashtbl.replace t.lines line { present = bit; owner = -1 };
+      cold t
+    | Some st
+      when st.present land bit <> 0 && (st.owner = thread || st.owner = -1) ->
+      c.Smp.Config.t_mem
+    | Some st ->
+      let cost =
+        if st.owner >= 0 && st.owner <> thread then begin
+          t.coherence <- t.coherence + 1;
+          c.Smp.Config.t_coherence_miss
+        end
+        else cold t
+      in
+      st.owner <- -1;
+      st.present <- st.present lor bit;
+      cost
+
+  let write t ~thread ~line =
+    let bit = 1 lsl thread in
+    match Hashtbl.find_opt t.lines line with
+    | None ->
+      Hashtbl.replace t.lines line { present = bit; owner = thread };
+      cold t
+    | Some st when st.owner = thread -> c.Smp.Config.t_mem
+    | Some st ->
+      let cost =
+        if st.present land lnot bit <> 0 || st.owner >= 0 then begin
+          t.invalidations <- t.invalidations + 1;
+          c.Smp.Config.t_invalidate
+        end
+        else if st.present land bit <> 0 then c.Smp.Config.t_mem
+        else cold t
+      in
+      st.present <- bit;
+      st.owner <- thread;
+      cost
+end
+
+type smp_op = Access of { thread : int; write : bool; slot : int } | Grow
+
+(* Byte offsets within a block: neighbours on one line (false sharing)
+   and the lines on either side. *)
+let smp_offsets = [| 0; 8; 56; 64; 120; 128 |]
+
+let arb_smp_trace =
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat "; "
+        (List.map
+           (function
+             | Grow -> "grow"
+             | Access { thread; write; slot } ->
+               Printf.sprintf "%c t%d s%d" (if write then 'W' else 'R')
+                 thread slot)
+           ops))
+    QCheck.Gen.(
+      list_size (int_range 1 120)
+        (frequency
+           [ (1, return Grow);
+             ( 30,
+               map3
+                 (fun thread write slot -> Access { thread; write; slot })
+                 (int_bound 7) bool (int_bound 63) ) ]))
+
+(* Accesses go to a small first block; each of at most two [Grow]s
+   allocates a megabyte block, which doubles the store (1 MiB after the
+   first allocation), and adds to the address pool the block's first
+   lines and the lines on both sides of the store's old end. Lines
+   touched before a grow must keep their state across it. *)
+let prop_smp_matches_hashtbl =
+  QCheck.Test.make ~name:"flat SMP line state == Hashtbl reference"
+    ~count:300 arb_smp_trace
+    (fun ops ->
+       let m = Smp.Machine.create Smp.Config.default in
+       let r = Smp_reference.create () in
+       let pool = ref [] and grows = ref 0 in
+       let add_block base =
+         Array.iter (fun o -> pool := (base + o) :: !pool) smp_offsets
+       in
+       add_block (Smp.Machine.alloc m ~bytes:256 ~align:64);
+       let costs_agree =
+         List.for_all
+           (function
+             | Grow ->
+               if !grows < 2 then begin
+                 let old_end = 1 lsl (20 + !grows) in
+                 incr grows;
+                 add_block (Smp.Machine.alloc m ~bytes:(1 lsl 20) ~align:64);
+                 add_block (old_end - 64)
+               end;
+               true
+             | Access { thread; write; slot } ->
+               let addrs = Array.of_list !pool in
+               let addr = addrs.(slot mod Array.length addrs) in
+               let line = addr lsr 6 in
+               if write then
+                 Smp.Machine.write_cost m ~thread ~addr
+                 = Smp_reference.write r ~thread ~line
+               else
+                 Smp.Machine.read_cost m ~thread ~addr
+                 = Smp_reference.read r ~thread ~line)
+           ops
+       in
+       costs_agree
+       && Smp.Machine.cold_misses m = r.Smp_reference.cold
+       && Smp.Machine.coherence_misses m = r.Smp_reference.coherence
+       && Smp.Machine.invalidations m = r.Smp_reference.invalidations)
+
 let tests =
   [ QCheck_alcotest.to_alcotest prop_diff_matches_reference;
     QCheck_alcotest.to_alcotest prop_victims_match_scan;
     QCheck_alcotest.to_alcotest prop_heap_matches_boxed;
-    QCheck_alcotest.to_alcotest prop_coalesced_log_equivalent ]
+    QCheck_alcotest.to_alcotest prop_coalesced_log_equivalent;
+    QCheck_alcotest.to_alcotest prop_smp_matches_hashtbl ]
 
 let () = Alcotest.run "hotpath-equiv" [ ("equivalence", tests) ]

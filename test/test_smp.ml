@@ -63,6 +63,50 @@ let test_false_sharing_granularity () =
   Alcotest.(check (float 0.)) "own line hit" cfg.t_mem
     (M.write_cost m ~thread:0 ~addr:(a + 64))
 
+(* An access outside the store raises before the line state moves: no
+   phantom cold line, no counter bump, on the machine or through the
+   runtime. *)
+let test_out_of_range_untouched () =
+  let counters m =
+    (M.cold_misses m, M.coherence_misses m, M.invalidations m)
+  in
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  let bad = [ 1 lsl 40; -64 ] in
+  let m = M.create cfg in
+  let a = M.alloc m ~bytes:64 ~align:64 in
+  ignore (M.write_cost m ~thread:0 ~addr:a : float);
+  let before = counters m in
+  List.iter
+    (fun addr ->
+       Alcotest.(check bool) "read_cost raises" true
+         (raises (fun () -> M.read_cost m ~thread:1 ~addr));
+       Alcotest.(check bool) "write_cost raises" true
+         (raises (fun () -> M.write_cost m ~thread:1 ~addr)))
+    bad;
+  Alcotest.(check (triple int int int)) "machine counters unchanged" before
+    (counters m);
+  let sys = R.create ~threads:1 () in
+  let m = R.machine sys in
+  ignore
+    (R.spawn sys (fun t ->
+         let before = counters m in
+         List.iter
+           (fun addr ->
+              Alcotest.(check bool) "read_f64 raises" true
+                (raises (fun () -> R.read_f64 t addr));
+              Alcotest.(check bool) "write_f64 raises" true
+                (raises (fun () -> R.write_f64 t addr 1.));
+              Alcotest.(check bool) "read_i64 raises" true
+                (raises (fun () -> R.read_i64 t addr));
+              Alcotest.(check bool) "write_i64 raises" true
+                (raises (fun () -> R.write_i64 t addr 1L)))
+           bad;
+         Alcotest.(check (triple int int int)) "runtime counters unchanged"
+           before (counters m)));
+  R.run sys
+
 (* ---------------- Runtime ---------------- *)
 
 let test_thread_cap () =
@@ -197,6 +241,8 @@ let tests =
     Alcotest.test_case "coherence costs" `Quick test_coherence_costs;
     Alcotest.test_case "false sharing granularity" `Quick
       test_false_sharing_granularity;
+    Alcotest.test_case "out of range access records nothing" `Quick
+      test_out_of_range_untouched;
     Alcotest.test_case "thread cap" `Quick test_thread_cap;
     Alcotest.test_case "data through runtime" `Quick
       test_data_through_runtime;
