@@ -216,6 +216,44 @@ let bechamel_tests () =
              ignore (Smp.Runtime.read_f64 t (a + (r * line_bytes)) : float)
            done))
   in
+  (* The multiple-writer line cycle behind the false-sharing figures: a
+     miss fetches the line into a recycled buffer, the first write twins
+     it into another, 64 strided word writes follow, the barrier diffs and
+     cleans it, and the invalidation hands both buffers back for the next
+     run. *)
+  let line_cycle =
+    let engine = Desim.Engine.create () in
+    let net =
+      Fabric.Network.create engine ~profile:cfg.Samhita.Config.fabric
+        ~node_count:2
+    in
+    let srv =
+      Samhita.Memory_server.create cfg layout ~id:0
+        ~endpoint:(Fabric.Scl.endpoint net 1)
+    in
+    let cache = Samhita.Cache.create cfg layout in
+    Test.make ~name:"line cycle (fetch, twin, diff, clean)"
+      (Staged.stage (fun () ->
+           let data = Samhita.Cache.buffer cache in
+           let version = Samhita.Memory_server.fetch srv 0 ~into:data in
+           let e =
+             Samhita.Cache.insert cache ~line:0 ~data ~version
+               ~evict:(fun _ -> ())
+           in
+           for i = 0 to 63 do
+             Samhita.Cache.mark_written cache e ~offset:(i * 64) ~len:8;
+             Bytes.set_int64_le data (i * 64) 0x3FF0000000000000L
+           done;
+           (match e.Samhita.Cache.twin with
+            | Some twin ->
+              ignore
+                (Samhita.Diff.make layout ~line:0 ~twin ~current:data
+                   ~dirty_pages:e.Samhita.Cache.dirty_pages
+                 : Samhita.Diff.t)
+            | None -> ());
+           Samhita.Cache.clean cache e ~version;
+           Samhita.Cache.invalidate cache 0))
+  in
   let update_apply =
     let u = Samhita.Update.of_i64 ~addr:128 0x4000000000000000L in
     let buf = Bytes.make line_bytes '\000' in
@@ -225,7 +263,7 @@ let bechamel_tests () =
   in
   [ diff_make; diff_make_ref; diff_make_dense; diff_make_dense_ref;
     diff_apply; heap_bench; cache_read_hit; cache_write_hit; thread_stencil;
-    rng_bench; arena_bench; smp_read; smp_stencil; update_apply ]
+    rng_bench; arena_bench; smp_read; smp_stencil; line_cycle; update_apply ]
 
 let run_bechamel () =
   let open Bechamel in

@@ -1,5 +1,6 @@
 type entry = {
-  line : int;
+  (* -1 once removed (see [remove]). *)
+  mutable line : int;
   data : bytes;
   mutable version : int;
   mutable twin : bytes option;
@@ -21,6 +22,20 @@ type pending = {
   mutable stale : bool;
   mutable waiters : (arrival -> unit) list;
 }
+
+(* Line ids are small non-negative ints: hash them as themselves, so a
+   lookup on every line switch is a mask instead of a [caml_hash] call.
+   Iteration order is never observed ([entries] and [dirty_entries]
+   sort). *)
+module Itbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash (l : int) = l
+  end)
+
+(* Spare line-sized buffers kept per cache for fetch replies and twins. *)
+let spare_slots = 8
 
 (* Resident entries live on one of two intrusive doubly-linked chains —
    [lru_dirty] for entries with dirty pages, [lru_clean] for the rest. The
@@ -44,8 +59,12 @@ type t = {
   layout : Layout.t;
   capacity : int;
   evict_dirty_first : bool;
-  table : (int, entry) Hashtbl.t;
-  pending : (int, pending) Hashtbl.t;
+  table : entry Itbl.t;
+  pending : pending Itbl.t;
+  (* A stack of [n_spare] recycled line buffers in [spare.(0 ..)]. It
+     fills lazily: [create] allocates no line. *)
+  spare : bytes array;
+  mutable n_spare : int;
   mutable tick : int;
   lru_clean : entry;  (* sentinel *)
   lru_dirty : entry;  (* sentinel *)
@@ -73,8 +92,10 @@ let create (cfg : Config.t) layout =
   { layout;
     capacity = cfg.Config.cache_lines;
     evict_dirty_first = cfg.Config.evict_dirty_first;
-    table = Hashtbl.create 256;
-    pending = Hashtbl.create 16;
+    table = Itbl.create 256;
+    pending = Itbl.create 16;
+    spare = Array.make spare_slots Bytes.empty;
+    n_spare = 0;
     tick = 0;
     lru_clean = sentinel ();
     lru_dirty = sentinel ();
@@ -87,8 +108,9 @@ let create (cfg : Config.t) layout =
     c_prefetch_installs = Desim.Stats.Counter.create () }
 
 let no_entry t = t.no_entry
+let spares t = Array.to_list (Array.sub t.spare 0 t.n_spare)
 let capacity t = t.capacity
-let size t = Hashtbl.length t.table
+let size t = Itbl.length t.table
 
 let is_dirty e = e.dirty_pages <> 0
 
@@ -117,23 +139,23 @@ let touch t (e : entry) =
   e.tick <- t.tick
 
 let find t line =
-  match Hashtbl.find_opt t.table line with
+  match Itbl.find_opt t.table line with
   | Some e ->
     touch t e;
     Some e
   | None -> None
 
-(* [find] without the option wrapper: [Hashtbl.find_opt] allocates a
+(* [find] without the option wrapper: [find_opt] allocates a
    [Some] and [find] rebuilds another, two minor blocks on every access
    whose line differs from the previous one (any stencil kernel defeats
    the single-entry fast path). The hot callers match the exception
    inline, so no [Some] is ever built on the hit path. *)
 let find_exn t line =
-  let e = Hashtbl.find t.table line in
+  let e = Itbl.find t.table line in
   touch t e;
   e
 
-let peek t line = Hashtbl.find_opt t.table line
+let peek t line = Itbl.find_opt t.table line
 
 (* Minimum-tick entry of one chain (ticks are unique, so the walk order
    cannot matter). *)
@@ -162,21 +184,59 @@ let choose_victim t ~allow_dirty =
     | None, v | v, None -> v
     | Some de, Some ce -> if de.tick < ce.tick then Some de else Some ce
 
+(* ---- line buffers ---- *)
+
+(* A spare buffer, or a fresh one while the stack is empty. Its contents
+   are garbage: the caller overwrites the whole line. *)
+let buffer t =
+  if t.n_spare = 0 then Bytes.create t.layout.Layout.line_bytes
+  else begin
+    let n = t.n_spare - 1 in
+    t.n_spare <- n;
+    Array.unsafe_get t.spare n
+  end
+
+(* Hand a buffer nothing references any more back to the stack; past
+   [spare_slots] it is left to the GC. *)
+let recycle t b =
+  if t.n_spare < spare_slots then begin
+    Array.unsafe_set t.spare t.n_spare b;
+    t.n_spare <- t.n_spare + 1
+  end
+
+let recycle_twin t e =
+  match e.twin with
+  | Some tw ->
+    e.twin <- None;
+    recycle t tw
+  | None -> ()
+
+(* Removal recycles the entry's buffers and poisons it: [line] becomes -1,
+   which no address maps to, so a caller still holding the entry (a
+   fast-path [last], an eviction victim) can never match it again. A
+   second [remove] is a no-op: an SC victim can be invalidated by another
+   thread while its writeback yields, before [insert] removes it. *)
 let remove t (e : entry) =
-  unlink e;
-  Hashtbl.remove t.table e.line
+  if e.line >= 0 then begin
+    unlink e;
+    Itbl.remove t.table e.line;
+    e.line <- -1;
+    recycle_twin t e;
+    recycle t e.data
+  end
 
 let insert t ~line ~data ~version ~evict =
   (* The caller may have yielded between detecting the miss and calling
      insert (clock sync, fetch round trip, or the victim flush below), and
      an asynchronous prefetch completion can install lines meanwhile — so
      re-check rather than assume absence. *)
-  match Hashtbl.find_opt t.table line with
+  match Itbl.find_opt t.table line with
   | Some e ->
+    recycle t data;
     touch t e;
     e
   | None ->
-    if Hashtbl.length t.table >= t.capacity then begin
+    if Itbl.length t.table >= t.capacity then begin
       match choose_victim t ~allow_dirty:true with
       | None -> ()
       | Some victim ->
@@ -187,8 +247,9 @@ let insert t ~line ~data ~version ~evict =
         evict victim;
         remove t victim
     end;
-    (match Hashtbl.find_opt t.table line with
+    (match Itbl.find_opt t.table line with
      | Some e ->
+       recycle t data;
        touch t e;
        e
      | None ->
@@ -199,14 +260,14 @@ let insert t ~line ~data ~version ~evict =
        t.tick <- t.tick + 1;
        e.tick <- t.tick;
        push t.lru_clean e;
-       Hashtbl.replace t.table line e;
+       Itbl.replace t.table line e;
        e)
 
 let ensure_room t ~line ~evict =
   let rec go () =
     if
-      (not (Hashtbl.mem t.table line))
-      && Hashtbl.length t.table >= t.capacity
+      (not (Itbl.mem t.table line))
+      && Itbl.length t.table >= t.capacity
     then begin
       match choose_victim t ~allow_dirty:true with
       | None -> ()
@@ -221,10 +282,13 @@ let ensure_room t ~line ~evict =
   go ()
 
 let try_install t ~line ~data ~version =
-  if Hashtbl.mem t.table line then false
+  if Itbl.mem t.table line then begin
+    recycle t data;
+    false
+  end
   else begin
     let have_room =
-      if Hashtbl.length t.table < t.capacity then true
+      if Itbl.length t.table < t.capacity then true
       else
         match choose_victim t ~allow_dirty:false with
         | Some victim ->
@@ -241,15 +305,19 @@ let try_install t ~line ~data ~version =
       t.tick <- t.tick + 1;
       e.tick <- t.tick;
       push t.lru_clean e;
-      Hashtbl.replace t.table line e;
+      Itbl.replace t.table line e;
       Desim.Stats.Counter.incr t.c_prefetch_installs
-    end;
+    end
+    else recycle t data;
     have_room
   end
 
 let mark_written t e ~offset ~len =
   (match e.twin with
-   | None -> e.twin <- Some (Bytes.copy e.data)
+   | None ->
+     let tw = buffer t in
+     Bytes.blit e.data 0 tw 0 (Bytes.length tw);
+     e.twin <- Some tw
    | Some _ -> ());
   let was_dirty = is_dirty e in
   let first = Layout.page_in_line t.layout ~offset in
@@ -263,12 +331,12 @@ let mark_written t e ~offset ~len =
   end
 
 let invalidate t line =
-  (match Hashtbl.find_opt t.table line with
+  (match Itbl.find_opt t.table line with
    | Some e ->
      Desim.Stats.Counter.incr t.c_invalidations;
      remove t e
    | None -> ());
-  match Hashtbl.find_opt t.pending line with
+  match Itbl.find_opt t.pending line with
   | Some p -> p.stale <- true
   | None -> ()
 
@@ -282,11 +350,11 @@ let dirty_entries t =
   |> List.sort (fun a b -> Int.compare a.line b.line)
 
 let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.table []
+  Itbl.fold (fun _ e acc -> e :: acc) t.table []
   |> List.sort (fun a b -> Int.compare a.line b.line)
 
 let clean t e ~version =
-  e.twin <- None;
+  recycle_twin t e;
   let was_dirty = is_dirty e in
   e.dirty_pages <- 0;
   e.version <- version;
@@ -296,32 +364,33 @@ let clean t e ~version =
   end
 
 let pending_start t line =
-  if Hashtbl.mem t.pending line then false
+  if Itbl.mem t.pending line then false
   else begin
-    Hashtbl.replace t.pending line { stale = false; waiters = [] };
+    Itbl.replace t.pending line { stale = false; waiters = [] };
     true
   end
 
-let is_pending t line = Hashtbl.mem t.pending line
+let is_pending t line = Itbl.mem t.pending line
 
 let pending_wait t line =
-  match Hashtbl.find_opt t.pending line with
+  match Itbl.find_opt t.pending line with
   | None -> None
   | Some p -> Some (fun wake -> p.waiters <- wake :: p.waiters)
 
 let pending_abort t line =
-  match Hashtbl.find_opt t.pending line with
+  match Itbl.find_opt t.pending line with
   | None -> ()
   | Some p ->
-    Hashtbl.remove t.pending line;
+    Itbl.remove t.pending line;
     List.iter (fun wake -> wake None) (List.rev p.waiters)
 
 let pending_complete t line ~data ~version =
-  match Hashtbl.find_opt t.pending line with
+  match Itbl.find_opt t.pending line with
   | None -> ()
   | Some p ->
-    Hashtbl.remove t.pending line;
+    Itbl.remove t.pending line;
     let result = if p.stale then None else Some (data, version) in
+    if p.stale then recycle t data;
     (match (p.waiters, result) with
      | [], Some (data, version) ->
        ignore (try_install t ~line ~data ~version : bool)

@@ -17,10 +17,21 @@
     path stays a single store. Victim selection scans one chain for the
     minimum tick instead of the whole table — the write-biased policy
     reads the (typically small) dirty chain first — and the dirty chain
-    doubles as the maintained index behind {!dirty_entries}. *)
+    doubles as the maintained index behind {!dirty_entries}.
+
+    {b Line buffers.} Line-sized buffers cycle through a small per-cache
+    stack of spares instead of being allocated per fetch and per twin. A
+    buffer from {!buffer} belongs to the caller until it hands it to
+    {!insert}, {!try_install} or {!pending_complete}; from then on the
+    cache owns it, as the entry's [data] or back on the stack if not
+    installed. A twin belongs to its entry. Removing an entry (eviction,
+    invalidation) returns its [data] and twin to the stack, and {!clean}
+    returns the twin; the removed entry is poisoned ([line] = -1). *)
 
 type entry = {
-  line : int;
+  mutable line : int;
+      (** Set to -1 when the entry leaves the cache: a stale reference
+          then matches no line. Read-only outside this module. *)
   data : bytes;
   mutable version : int;  (** Home version this copy corresponds to. *)
   mutable twin : bytes option;
@@ -46,6 +57,13 @@ val no_entry : t -> entry
     comparison [e.line = line] fails without an option. Never pass it to
     any other function of this module. *)
 
+val buffer : t -> bytes
+(** A line-sized buffer to fetch into: a recycled spare, or a fresh
+    allocation while the stack is empty. Its contents are unspecified. *)
+
+val spares : t -> bytes list
+(** The spare stack's buffers (for tests). *)
+
 val capacity : t -> int
 val size : t -> int
 
@@ -70,7 +88,8 @@ val insert :
     The buffer is owned by the cache afterwards. If the line turned out to
     be present already (an asynchronous prefetch completed while the caller
     was blocked fetching), the existing entry is returned and the new
-    buffer dropped. *)
+    buffer recycled. The evicted victim is poisoned and its buffers
+    recycled. *)
 
 val ensure_room : t -> line:int -> evict:(entry -> unit) -> unit
 (** Evict until inserting [line] would need no eviction (no-op when the
@@ -81,16 +100,19 @@ val ensure_room : t -> line:int -> evict:(entry -> unit) -> unit
 val try_install : t -> line:int -> data:bytes -> version:int -> bool
 (** Install only if no eviction of a {e dirty} line would be needed (the
     asynchronous prefetch path, which runs outside any process and so
-    cannot flush). Clean victims may be displaced. Returns [false] and
-    drops the data otherwise. *)
+    cannot flush). Clean victims may be displaced (and are poisoned, so a
+    caller's stale reference to one no longer matches its line). Returns
+    [false] and recycles the data otherwise. *)
 
 val mark_written : t -> entry -> offset:int -> len:int -> unit
-(** Note an ordinary-region write to [entry]: creates the twin on first
-    write and sets the dirty bits of the touched pages. *)
+(** Note an ordinary-region write to [entry]: creates the twin (a copy in
+    a recycled buffer) on first write and sets the dirty bits of the
+    touched pages. *)
 
 val invalidate : t -> int -> unit
-(** Drop a line (no flush — callers flush first when needed). Marks any
-    in-flight prefetch of that line stale. *)
+(** Drop a line (no flush — callers flush first when needed), poisoning
+    its entry and recycling its buffers. Marks any in-flight prefetch of
+    that line stale. *)
 
 val dirty_entries : t -> entry list
 (** All entries with dirty pages, ascending line id (deterministic flush
@@ -102,8 +124,8 @@ val entries : t -> entry list
     point). *)
 
 val clean : t -> entry -> version:int -> unit
-(** After a successful flush: drop twin and dirty bits, record the new home
-    version. *)
+(** After a successful flush: recycle the twin, drop the dirty bits,
+    record the new home version. *)
 
 (** {2 In-flight prefetch bookkeeping} *)
 
@@ -127,7 +149,9 @@ val pending_abort : t -> int -> unit
 
 val pending_complete : t -> int -> data:bytes -> version:int -> unit
 (** Prefetch delivery: wakes waiters (with [None] if stale) and, when there
-    are no waiters and the line is fresh, installs via {!try_install}. *)
+    are no waiters and the line is fresh, installs via {!try_install}. A
+    waiter woken with [Some (data, _)] owns [data] as if from {!buffer};
+    otherwise the cache keeps or recycles it. *)
 
 (** {2 Counters} *)
 

@@ -25,6 +25,11 @@ let coalesce_gap = 1
 let span_framing = 12
 let diff_framing = 16
 
+(* Unchecked native 64-bit load. [make] checks both buffers' lengths once
+   on entry; its word loop stays inside the line, so the per-word bound
+   check of [Bytes.get_int64_ne] would only repeat that check. *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
 (* Short copies skip the C-call overhead of [Bytes.blit]. *)
 let small_blit src spos dst dpos len =
   if len <= 16 then
@@ -96,8 +101,7 @@ let make (layout : Layout.t) ~line ~twin ~current ~dirty_pages =
            bytes out of the XOR image with shift-and-mask tests loses to
            the byte reloads, which hit L1 and cost less than the extra
            shifts and branches. *)
-        (if Bytes.get_int64_ne twin !i <> Bytes.get_int64_ne current !i
-         then
+        (if get64u twin !i <> get64u current !i then
            for j = !i to !i + 7 do
              if Bytes.unsafe_get twin j <> Bytes.unsafe_get current j
              then begin

@@ -65,9 +65,10 @@ let bump_version t line_id =
   Hashtbl.replace t.versions line_id v;
   v
 
-let fetch t line_id =
+let fetch t line_id ~into =
   Desim.Stats.Counter.incr t.fetches;
-  (Bytes.copy (line t line_id), version t line_id)
+  Bytes.blit (line t line_id) 0 into 0 t.layout.Layout.line_bytes;
+  version t line_id
 
 let apply_diff t diff =
   Desim.Stats.Counter.incr t.diffs;

@@ -44,8 +44,9 @@ val line : t -> int -> bytes
 val version : t -> int -> int
 (** Current version of a line; 0 until first written. *)
 
-val fetch : t -> int -> bytes * int
-(** Copy of the line contents and its version (a page/line fetch reply). *)
+val fetch : t -> int -> into:bytes -> int
+(** Copy the line contents into the line-sized buffer [into] and return
+    the line's version (a page/line fetch reply). *)
 
 val apply_diff : t -> Diff.t -> int
 (** Merge a writer's diff into the backing line; returns the new version. *)

@@ -28,7 +28,9 @@ type t = {
   (* Single-line fast path for the common repeated-hit case: the last
      entry located, or the cache's never-resident [Cache.no_entry] (line
      -1, matching no address) — a plain field, so switching lines stores
-     a pointer instead of allocating a [Some]. *)
+     a pointer instead of allocating a [Some]. Once the cache removes the
+     entry it is poisoned to line -1 too, so no removal site has to reset
+     this field. *)
   mutable last : Cache.entry;
   (* Held locks, innermost first, each with its consistency-region store
      log (newest store first). *)
@@ -93,12 +95,7 @@ let create e ~id ~node =
            Option.map
              (fun (en : Cache.entry) -> en.Cache.data)
              (Cache.peek t.cache line));
-      p_invalidate =
-        (fun line ->
-           (match Cache.peek t.cache line with
-            | Some en when t.last == en -> t.last <- Cache.no_entry t.cache
-            | _ -> ());
-           Cache.invalidate t.cache line);
+      p_invalidate = Cache.invalidate cache;
       p_downgrade =
         (fun line ->
            match Cache.peek t.cache line with
@@ -326,9 +323,6 @@ let observe_publish t ~srv ~line ~version =
       (Probe.Publish
          { thread = t.id; time = now t; server = Memory_server.id srv; line;
            version; data = Memory_server.line srv line })
-
-let forget_last t (e : Cache.entry) =
-  if t.last == e then t.last <- Cache.no_entry t.cache
 
 (* ------------------------------------------------------------------ *)
 (* Flushing (ordinary-region diffs)                                    *)
@@ -572,7 +566,6 @@ let sc_invalidate_sharers t ~line ~now =
 (* Demand paging                                                       *)
 
 let evict_victim t (victim : Cache.entry) =
-  forget_last t victim;
   match t.e.cfg.Config.model with
   | Config.Regc ->
     if victim.Cache.dirty_pages <> 0 then flush_entry t victim
@@ -609,7 +602,8 @@ let maybe_prefetch t line =
             Cache.pending_abort t.cache line
           end
           else begin
-            let data, version = Memory_server.fetch srv line in
+            let data = Cache.buffer t.cache in
+            let version = Memory_server.fetch srv line ~into:data in
             Cache.pending_complete t.cache line ~data ~version
           end)
         ()
@@ -664,7 +658,8 @@ let rec demand_fetch t line : Cache.entry =
        cache — the caller's failover wrapper re-fetches from the
        epoch-current replica. *)
     fence t ~logical ~epoch;
-    let data, version = Memory_server.fetch srv line in
+    let data = Cache.buffer t.cache in
+    let version = Memory_server.fetch srv line ~into:data in
     if observed t then
       emit t
         (Probe.Fetch
@@ -695,7 +690,8 @@ let sc_read_fetch t line : Cache.entry =
     | Some o when o <> t.id -> sc_recall t ~line ~owner_tid:o ~now:served
     | _ -> served
   in
-  let data, version = Memory_server.fetch srv line in
+  let data = Cache.buffer t.cache in
+  let version = Memory_server.fetch srv line ~into:data in
   Coherence_sc.add_sharer t.e.sc ~line ~thread:t.id;
   let entry = install t ~line ~data ~version in
   (* --- end of transaction; pay the latency --- *)
@@ -739,7 +735,8 @@ let sc_acquire_exclusive t line ~commit : Cache.entry =
     match cached with
     | Some e -> e
     | None ->
-      let data, version = Memory_server.fetch srv line in
+      let data = Cache.buffer t.cache in
+      let version = Memory_server.fetch srv line ~into:data in
       install t ~line ~data ~version
   in
   entry.Cache.excl <- true;
@@ -792,11 +789,10 @@ let locate t addr : Cache.entry =
              (* Under SC the copy may have been invalidated while the
                 reply was in flight: this read still returns the value
                 current at fetch time (legal — it linearizes at the home's
-                service instant), but the stale object must not become the
-                fast path. *)
-             (match Cache.peek t.cache line with
-              | Some e' when e' == e -> t.last <- e
-              | _ -> t.last <- Cache.no_entry t.cache);
+                service instant; the recycled buffer is not reused before
+                the read). The removal poisoned the entry, so it cannot
+                serve as the fast path. *)
+             t.last <- e;
              e))
   in
   charge t t.e.cfg.Config.t_mem;
@@ -827,10 +823,9 @@ let sc_store t addr ~store =
         let start = now t in
         let e = sc_acquire_exclusive t line ~commit:(fun e -> store e off) in
         t.m_compute <- t.m_compute + Desim.Time.diff (now t) start;
-        (* Keep the fast path only if the grant survived the latency. *)
-        (match Cache.peek t.cache line with
-         | Some e' when e' == e && e.Cache.excl -> t.last <- e
-         | _ -> t.last <- Cache.no_entry t.cache))
+        (* Keep the fast path only if the grant survived the latency (an
+           invalidated entry is poisoned and matches no line). *)
+        t.last <- (if e.Cache.excl then e else Cache.no_entry t.cache))
 
 (* ------------------------------------------------------------------ *)
 (* Typed accessors                                                     *)
@@ -1053,7 +1048,6 @@ let apply_notices t notices =
        match Cache.peek t.cache line with
        | Some entry when entry.Cache.version <> v ->
          if entry.Cache.dirty_pages <> 0 then flush_entry t entry;
-         forget_last t entry;
          Cache.invalidate t.cache line
        | Some _ -> ()
        | None ->
@@ -1066,15 +1060,9 @@ let apply_notices t notices =
 let apply_writer_notices t notices =
   List.iter
     (fun (line, writers) ->
-       if Tset.exists_other writers ~self:t.id then begin
-         (match Cache.peek t.cache line with
-          | Some entry ->
-            forget_last t entry;
-            Cache.invalidate t.cache line
-          | None ->
-            (* A prefetch may be in flight: mark it stale. *)
-            Cache.invalidate t.cache line)
-       end)
+       (* Also marks an in-flight prefetch of the line stale. *)
+       if Tset.exists_other writers ~self:t.id then
+         Cache.invalidate t.cache line)
     notices
 
 let apply_grant t (g : Manager_shard.grant) =

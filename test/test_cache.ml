@@ -143,6 +143,49 @@ let test_try_install_respects_dirty () =
   Alcotest.(check bool) "duplicate refused" false
     (Samhita.Cache.try_install c ~line:8 ~data:(buf ()) ~version:0)
 
+(* A prefetch install displaces a clean victim without telling the
+   thread that may still hold it as its fast-path entry: the victim must
+   stop matching its old line. *)
+let test_try_install_poisons_victim () =
+  let c = mk () in
+  let victim = insert_plain c 1 in
+  List.iter (fun l -> ignore (insert_plain c l)) [ 2; 3; 4 ];
+  Alcotest.(check bool) "installs over clean" true
+    (Samhita.Cache.try_install c ~line:8 ~data:(buf ()) ~version:0);
+  Alcotest.(check bool) "victim evicted" true (Samhita.Cache.peek c 1 = None);
+  Alcotest.(check bool) "stale reference matches no line" true
+    (victim.Samhita.Cache.line <> 1)
+
+let test_remove_recycles_buffers () =
+  let c = mk () in
+  Alcotest.(check int) "no spares at create" 0
+    (List.length (Samhita.Cache.spares c));
+  let data = Samhita.Cache.buffer c in
+  let e =
+    Samhita.Cache.insert c ~line:5 ~data ~version:0 ~evict:(fun _ -> ())
+  in
+  Bytes.set e.Samhita.Cache.data 0 'a';
+  Samhita.Cache.mark_written c e ~offset:0 ~len:8;
+  let twin = Option.get e.Samhita.Cache.twin in
+  Alcotest.(check char) "twin copies the line" 'a' (Bytes.get twin 0);
+  Samhita.Cache.invalidate c 5;
+  Alcotest.(check int) "poisoned" (-1) e.Samhita.Cache.line;
+  let spares = Samhita.Cache.spares c in
+  Alcotest.(check bool) "data and twin recycled" true
+    (List.length spares = 2
+     && List.exists (fun b -> b == data) spares
+     && List.exists (fun b -> b == twin) spares);
+  let b = Samhita.Cache.buffer c in
+  Alcotest.(check bool) "buffer reuses a spare" true (b == data || b == twin);
+  (* A duplicate insert keeps the resident entry and recycles the new
+     buffer. *)
+  let e7 = insert_plain c 7 in
+  let dup = Samhita.Cache.insert c ~line:7 ~data:b ~version:0
+      ~evict:(fun _ -> ()) in
+  Alcotest.(check bool) "existing entry" true (dup == e7);
+  Alcotest.(check bool) "duplicate's buffer recycled" true
+    (List.exists (fun x -> x == b) (Samhita.Cache.spares c))
+
 let test_pending_lifecycle () =
   let c = mk () in
   Alcotest.(check bool) "start" true (Samhita.Cache.pending_start c 5);
@@ -220,6 +263,10 @@ let tests =
       test_dirty_entries_sorted;
     Alcotest.test_case "invalidate" `Quick test_invalidate;
     Alcotest.test_case "try_install" `Quick test_try_install_respects_dirty;
+    Alcotest.test_case "try_install poisons its victim" `Quick
+      test_try_install_poisons_victim;
+    Alcotest.test_case "remove recycles buffers" `Quick
+      test_remove_recycles_buffers;
     Alcotest.test_case "pending lifecycle" `Quick test_pending_lifecycle;
     Alcotest.test_case "pending stale" `Quick test_pending_stale_delivery;
     Alcotest.test_case "pending auto-install" `Quick

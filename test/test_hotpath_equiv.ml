@@ -205,6 +205,169 @@ let prop_victims_match_scan =
          ops)
 
 (* ------------------------------------------------------------------ *)
+(* Recycled line buffers vs. fresh-buffer copies                       *)
+
+(* The cache recycles line buffers through a spare stack; the reference
+   keeps every resident line's contents and twin in buffers of its own.
+   A buffer handed to two owners at once (entry data, twin, spare) would
+   show as a physically shared buffer or as contents that drift from the
+   reference. Fetch, prefetch and flush go through a plain home store. *)
+type buf_op =
+  | B_insert of int
+  | B_write of int * int * int  (* line, offset, byte *)
+  | B_flush of int
+  | B_drop of int
+  | B_try of int
+  | B_prefetch of int * bool  (* line, invalidated in flight *)
+
+let buf_op_print = function
+  | B_insert l -> Printf.sprintf "I%d" l
+  | B_write (l, o, v) -> Printf.sprintf "W%d@%d=%d" l o v
+  | B_flush l -> Printf.sprintf "F%d" l
+  | B_drop l -> Printf.sprintf "D%d" l
+  | B_try l -> Printf.sprintf "T%d" l
+  | B_prefetch (l, stale) -> Printf.sprintf "P%d%s" l (if stale then "!" else "")
+
+let buf_op_gen =
+  QCheck.Gen.(
+    int_range 0 5 >>= fun l ->
+    frequency
+      [ (3, return (B_insert l));
+        (4, map2 (fun o v -> B_write (l, o, v)) (int_bound (lb - 1))
+              (int_bound 255));
+        (2, return (B_flush l));
+        (1, return (B_drop l));
+        (2, return (B_try l));
+        (1, map (fun st -> B_prefetch (l, st)) bool) ])
+
+let arb_buf_trace =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "cap=%d [%s]" cap
+        (String.concat "; " (List.map buf_op_print ops)))
+    QCheck.Gen.(pair (int_range 2 4) (list_size (int_range 1 60) buf_op_gen))
+
+let prop_recycled_buffers_unshared =
+  QCheck.Test.make ~name:"recycled line buffers are never shared" ~count:300
+    arb_buf_trace
+    (fun (cap, ops) ->
+       let ccfg = { cfg with Samhita.Config.cache_lines = cap } in
+       let cache = Samhita.Cache.create ccfg layout in
+       let home = Hashtbl.create 8 in
+       let home_line l =
+         match Hashtbl.find_opt home l with
+         | Some b -> b
+         | None ->
+           let b = Bytes.init lb (fun i -> Char.chr ((i * (l + 3)) land 255)) in
+           Hashtbl.replace home l b;
+           b
+       in
+       (* line -> (contents, twin) in fresh buffers *)
+       let model = Hashtbl.create 8 in
+       let fetch l =
+         let into = Samhita.Cache.buffer cache in
+         Bytes.blit (home_line l) 0 into 0 lb;
+         into
+       in
+       let flush (e : Samhita.Cache.entry) =
+         (match e.Samhita.Cache.twin with
+          | Some twin ->
+            Samhita.Diff.apply
+              (Samhita.Diff.make layout ~line:e.Samhita.Cache.line ~twin
+                 ~current:e.Samhita.Cache.data
+                 ~dirty_pages:e.Samhita.Cache.dirty_pages)
+              (home_line e.Samhita.Cache.line)
+          | None -> ());
+         Samhita.Cache.clean cache e ~version:0;
+         match Hashtbl.find_opt model e.Samhita.Cache.line with
+         | Some (d, _) -> Hashtbl.replace model e.Samhita.Cache.line (d, None)
+         | None -> ()
+       in
+       let step = function
+         | B_insert l ->
+           if Samhita.Cache.peek cache l = None then begin
+             ignore
+               (Samhita.Cache.insert cache ~line:l ~data:(fetch l) ~version:0
+                  ~evict:flush
+                : Samhita.Cache.entry);
+             Hashtbl.replace model l (Bytes.copy (home_line l), None)
+           end
+         | B_write (l, off, v) -> (
+             match Samhita.Cache.peek cache l with
+             | Some e ->
+               Samhita.Cache.mark_written cache e ~offset:off ~len:1;
+               Bytes.set e.Samhita.Cache.data off (Char.chr v);
+               let d, twin = Hashtbl.find model l in
+               let twin =
+                 match twin with Some _ -> twin | None -> Some (Bytes.copy d)
+               in
+               Bytes.set d off (Char.chr v);
+               Hashtbl.replace model l (d, twin)
+             | None -> ())
+         | B_flush l -> (
+             match Samhita.Cache.peek cache l with
+             | Some e -> flush e
+             | None -> ())
+         | B_drop l ->
+           (* Invalidation without a flush discards unflushed writes. *)
+           Samhita.Cache.invalidate cache l;
+           Hashtbl.remove model l
+         | B_try l ->
+           if Samhita.Cache.try_install cache ~line:l ~data:(fetch l)
+               ~version:0
+           then Hashtbl.replace model l (Bytes.copy (home_line l), None)
+         | B_prefetch (l, stale) ->
+           if Samhita.Cache.pending_start cache l then begin
+             if stale then Samhita.Cache.invalidate cache l;
+             let resident = Samhita.Cache.peek cache l <> None in
+             Samhita.Cache.pending_complete cache l ~data:(fetch l)
+               ~version:0;
+             if stale then Hashtbl.remove model l
+             else if (not resident) && Samhita.Cache.peek cache l <> None
+             then Hashtbl.replace model l (Bytes.copy (home_line l), None)
+           end
+       in
+       let consistent () =
+         let entries = Samhita.Cache.entries cache in
+         (* Victims left silently (capacity eviction, try_install): drop
+            them from the reference. *)
+         let resident = List.map (fun e -> e.Samhita.Cache.line) entries in
+         Hashtbl.filter_map_inplace
+           (fun l v -> if List.mem l resident then Some v else None)
+           model;
+         let bufs =
+           List.concat_map
+             (fun (e : Samhita.Cache.entry) ->
+                e.Samhita.Cache.data
+                :: Option.to_list e.Samhita.Cache.twin)
+             entries
+           @ Samhita.Cache.spares cache
+         in
+         let rec distinct = function
+           | [] -> true
+           | b :: rest -> List.for_all (fun b' -> b != b') rest && distinct rest
+         in
+         distinct bufs
+         && List.for_all (fun b -> Bytes.length b = lb) bufs
+         && List.for_all
+           (fun (e : Samhita.Cache.entry) ->
+              match Hashtbl.find_opt model e.Samhita.Cache.line with
+              | None -> false
+              | Some (d, twin) ->
+                Bytes.equal d e.Samhita.Cache.data
+                && (match (twin, e.Samhita.Cache.twin) with
+                    | None, None -> true
+                    | Some a, Some b -> Bytes.equal a b
+                    | _ -> false))
+           entries
+       in
+       List.for_all
+         (fun op ->
+            step op;
+            consistent ())
+         ops)
+
+(* ------------------------------------------------------------------ *)
 (* Unboxed heap vs. a boxed sorted-list reference                      *)
 
 module List_heap = struct
@@ -490,6 +653,7 @@ let prop_smp_matches_hashtbl =
 let tests =
   [ QCheck_alcotest.to_alcotest prop_diff_matches_reference;
     QCheck_alcotest.to_alcotest prop_victims_match_scan;
+    QCheck_alcotest.to_alcotest prop_recycled_buffers_unshared;
     QCheck_alcotest.to_alcotest prop_heap_matches_boxed;
     QCheck_alcotest.to_alcotest prop_coalesced_log_equivalent;
     QCheck_alcotest.to_alcotest prop_smp_matches_hashtbl ]

@@ -12,10 +12,17 @@ let mk_server () =
   Samhita.Memory_server.create cfg layout ~id:0
     ~endpoint:(Fabric.Scl.endpoint net 1)
 
+(* Fetch into a fresh buffer pre-filled with junk, so a fetch that left
+   any byte unwritten shows. *)
+let fetch s line =
+  let into = Bytes.make lb 'z' in
+  let version = Samhita.Memory_server.fetch s line ~into in
+  (into, version)
+
 let test_demand_zero () =
   let s = mk_server () in
   Alcotest.(check int) "empty store" 0 (Samhita.Memory_server.lines_resident s);
-  let data, version = Samhita.Memory_server.fetch s 42 in
+  let data, version = fetch s 42 in
   Alcotest.(check int) "version 0" 0 version;
   Alcotest.(check bytes) "zero filled" (Bytes.make lb '\000') data;
   Alcotest.(check int) "materialized" 1
@@ -24,9 +31,9 @@ let test_demand_zero () =
 
 let test_fetch_returns_copy () =
   let s = mk_server () in
-  let data, _ = Samhita.Memory_server.fetch s 0 in
+  let data, _ = fetch s 0 in
   Bytes.set data 0 'x';
-  let data2, _ = Samhita.Memory_server.fetch s 0 in
+  let data2, _ = fetch s 0 in
   Alcotest.(check char) "store unaffected by caller mutation" '\000'
     (Bytes.get data2 0)
 
@@ -41,7 +48,7 @@ let test_apply_diff_bumps_version () =
   let v2 = Samhita.Memory_server.apply_diff s d in
   Alcotest.(check int) "version 2" 2 v2;
   Alcotest.(check int) "tracked" 2 (Samhita.Memory_server.version s 3);
-  let data, v = Samhita.Memory_server.fetch s 3 in
+  let data, v = fetch s 3 in
   Alcotest.(check char) "content merged" 'q' (Bytes.get data 5);
   Alcotest.(check int) "fetch sees version" 2 v
 
@@ -50,7 +57,7 @@ let test_apply_update () =
   let u = Samhita.Update.of_i64 ~addr:((2 * lb) + 8) 77L in
   let versions = Samhita.Memory_server.apply_update s u in
   Alcotest.(check (list (pair int int))) "line 2 bumped" [ (2, 1) ] versions;
-  let data, _ = Samhita.Memory_server.fetch s 2 in
+  let data, _ = fetch s 2 in
   Alcotest.(check int64) "written" 77L (Bytes.get_int64_le data 8)
 
 let test_apply_update_straddling () =
@@ -64,8 +71,8 @@ let test_apply_update_straddling () =
   in
   Alcotest.(check (list (pair int int))) "both lines bumped"
     [ (0, 1); (1, 1) ] versions;
-  let d0, _ = Samhita.Memory_server.fetch s 0 in
-  let d1, _ = Samhita.Memory_server.fetch s 1 in
+  let d0, _ = fetch s 0 in
+  let d1, _ = fetch s 1 in
   Alcotest.(check char) "tail" '\255' (Bytes.get d0 (lb - 1));
   Alcotest.(check char) "head" '\255' (Bytes.get d1 3);
   Alcotest.(check char) "beyond" '\000' (Bytes.get d1 4)
@@ -80,7 +87,7 @@ let test_service_time_scales () =
 
 let test_counters () =
   let s = mk_server () in
-  ignore (Samhita.Memory_server.fetch s 0);
+  ignore (fetch s 0 : bytes * int);
   let twin = Bytes.make lb '\000' in
   let current = Bytes.copy twin in
   Bytes.set current 0 'x';
