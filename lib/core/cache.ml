@@ -70,7 +70,7 @@ type t = {
   lru_dirty : entry;  (* sentinel *)
   (* Never resident, never on a chain: the "no entry" value of callers
      that keep a last-used entry without an option. One per cache, so
-     caches on different domains share no mutable value. *)
+     independent runs on different domains share no mutable value. *)
   no_entry : entry;
   c_hits : Desim.Stats.Counter.t;
   c_misses : Desim.Stats.Counter.t;

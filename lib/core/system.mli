@@ -48,9 +48,7 @@ val subscribe : t -> Probe.subscriber -> unit
     every event in subscription order. The torture oracle, RegCCheck's
     footprint recorder and test recorders subscribe through this. Must
     be called before the first {!spawn} (raises [Invalid_argument]
-    otherwise) so every thread sees it. Observers hear the global
-    sequential schedule, so this also raises when
-    [Config.domains > 1]. *)
+    otherwise) so every thread sees it. *)
 
 val mutex : t -> Manager_shard.lock_id
 (** Create a mutex (setup-time operation; no simulated cost). *)
@@ -79,6 +77,4 @@ val elapsed : t -> Desim.Time.t
 (** Simulated makespan so far. *)
 
 val events : t -> int
-(** Simulation events executed so far, summed over all partitions
-    ({!Desim.Engine.events}) — the numerator of the ParDES events/sec
-    throughput metric. *)
+(** Simulation events executed so far ({!Desim.Engine.events}). *)

@@ -28,18 +28,21 @@ if [ -n "$hits" ]; then
   exit 1
 fi
 
-# Domain-safety check (ParDES): with the engine running client
-# partitions on several OCaml domains, a new top-level `ref` or
-# `Hashtbl.create` in lib/sim or lib/core is shared mutable state that
-# every domain can reach — an unsynchronized write there is a data race
-# the simulation cannot replay. Keep state inside per-engine/per-system
-# records, use Domain.DLS for per-domain scratch, or Atomic.t for
-# cross-domain counters; extend the allowlist only for hooks that are
-# provably single-domain (set before the run, read serially).
+# Domain-safety check (run-level parallelism): independent simulation
+# runs — figure sweep points, serve load points, torture seeds — are to
+# execute at the same time on a pool of OCaml domains, one whole system
+# per domain. A top-level `ref` or `Hashtbl.create` in lib/sim or
+# lib/core is mutable state that every one of those runs can reach — an
+# unsynchronized write there is a data race between runs that no seed
+# can replay. Keep state inside per-engine/per-system records, use
+# Domain.DLS for per-domain scratch, or Atomic.t for counters shared
+# across runs; extend the allowlist only for hooks that are provably
+# touched from one domain (set before the run, read serially).
 #
 # Allowlist (file:binding, matched against the grep hit):
 #   lib/sim/resource.ml let observer — RegCCheck observer hook, installed
-#   and read only in 1-domain model-checking runs.
+#   and read only by model-checking runs; it must become a per-engine
+#   field before those runs share a domain pool.
 mutable_allow='^lib/sim/resource\.ml:[0-9]+:let observer '
 mutable_hits=$(grep -rn -E \
   '^let [^=]*= *(ref |Hashtbl\.create|Array\.make|Bytes\.create|Buffer\.create)' \
@@ -49,8 +52,8 @@ mutable_hits=$(grep -rn -E \
 if [ -n "$mutable_hits" ]; then
   echo "lint_determinism: new top-level mutable state in lib/sim or lib/core:" >&2
   echo "$mutable_hits" >&2
-  echo "client partitions run on multiple domains (ParDES); top-level refs" >&2
-  echo "and Hashtbls are cross-domain shared state. Put it in the engine or" >&2
+  echo "independent runs may execute on different domains at once; top-level" >&2
+  echo "refs and Hashtbls are state shared between them. Put it in the engine or" >&2
   echo "system record, a Domain.DLS key, or an Atomic — or allowlist it" >&2
   echo "here with a proof it is only touched from one domain." >&2
   exit 1

@@ -159,6 +159,45 @@ let prop_payload_exact =
        let changed = List.length (List.sort_uniq compare offs) in
        Samhita.Diff.payload_bytes d = changed)
 
+(* [Diff.make]'s span scratch is domain-local: the same inputs diffed on
+   two other domains at once give the main domain's results. *)
+let test_diff_two_domains () =
+  let inputs seed =
+    List.init 64 (fun i ->
+        let twin = Bytes.make lb '\000' in
+        let current = Bytes.copy twin in
+        (* Vary density and placement so scratch reuse sees spans of
+           different counts and widths back to back. *)
+        let stride = 8 * (1 + ((seed + i) mod 7)) in
+        let j = ref ((seed + i) mod 16) in
+        while !j * 8 < lb - 8 do
+          Bytes.set_int64_le current (!j * 8) (Int64.of_int (seed + !j));
+          j := !j + (stride / 8)
+        done;
+        (twin, current))
+  in
+  let digest seed =
+    let b = Buffer.create 4096 in
+    List.iter
+      (fun (twin, current) ->
+         let d =
+           Samhita.Diff.make layout ~line:0 ~twin ~current ~dirty_pages:1
+         in
+         let target = Bytes.make lb '\xff' in
+         Samhita.Diff.apply d target;
+         Buffer.add_bytes b target)
+      (inputs seed);
+    Digest.string (Buffer.contents b)
+  in
+  let expected1 = digest 1 and expected2 = digest 2 in
+  let d1 = Domain.spawn (fun () -> digest 1) in
+  let d2 = Domain.spawn (fun () -> digest 2) in
+  let got1 = Domain.join d1 and got2 = Domain.join d2 in
+  Alcotest.(check string) "domain 1 diffs equal main-domain diffs"
+    (Digest.to_hex expected1) (Digest.to_hex got1);
+  Alcotest.(check string) "domain 2 diffs equal main-domain diffs"
+    (Digest.to_hex expected2) (Digest.to_hex got2)
+
 let tests =
   [ Alcotest.test_case "empty diff" `Quick test_empty_diff;
     Alcotest.test_case "single change" `Quick test_single_change;
@@ -167,6 +206,8 @@ let tests =
     Alcotest.test_case "byte-exact spans" `Quick test_byte_exact_spans;
     Alcotest.test_case "wire bytes" `Quick test_wire_bytes;
     Alcotest.test_case "size mismatch" `Quick test_size_mismatch;
+    Alcotest.test_case "diff scratch across domains" `Quick
+      test_diff_two_domains;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_disjoint_writers_merge;
     QCheck_alcotest.to_alcotest prop_payload_exact ]

@@ -196,6 +196,32 @@ let test_stalled_names () =
     [ "node0/thr1"; "node1/thr0" ]
     (Desim.Engine.blocked_names e)
 
+(* A quantum rounds future instants up to its grid; run_until's horizon
+   is inclusive and the clock parks exactly on it. *)
+let test_run_until_quantum () =
+  let e = Desim.Engine.create () in
+  Desim.Engine.set_quantum e 100;
+  let log = ref [] in
+  let mark tag () =
+    log := (tag, Desim.Time.to_ns (Desim.Engine.now e)) :: !log
+  in
+  Desim.Engine.schedule e ~delay:(ns 10) (mark "a");
+  Desim.Engine.schedule e ~delay:(ns 110) (mark "b");
+  Desim.Engine.schedule e ~delay:(ns 250) (mark "c");
+  Desim.Engine.run_until e (Desim.Time.of_ns 200);
+  Alcotest.(check (list (pair string int)))
+    "instants round up to the quantum; horizon is inclusive"
+    [ ("a", 100); ("b", 200) ]
+    (List.rev !log);
+  Alcotest.(check int) "clock parked exactly at the horizon" 200
+    (Desim.Time.to_ns (Desim.Engine.now e));
+  Desim.Engine.run_until e (Desim.Time.of_ns 1000);
+  Alcotest.(check (pair string int))
+    "the rounded tail event runs on the next call" ("c", 300)
+    (List.hd !log);
+  Alcotest.(check int) "empty queue still advances to the horizon" 1000
+    (Desim.Time.to_ns (Desim.Engine.now e))
+
 let tests =
   [ Alcotest.test_case "schedule order" `Quick test_schedule_order;
     Alcotest.test_case "same-instant FIFO" `Quick test_same_instant_fifo;
@@ -211,6 +237,7 @@ let tests =
     Alcotest.test_case "exception propagates" `Quick
       test_exception_propagates;
     Alcotest.test_case "run_until" `Quick test_run_until;
+    Alcotest.test_case "run_until under quantum" `Quick test_run_until_quantum;
     Alcotest.test_case "yield" `Quick test_yield_lets_peers_run;
     Alcotest.test_case "shuffled engine deterministic" `Quick
       test_shuffle_engine_deterministic;
