@@ -55,8 +55,7 @@ module Make (B : Backend_sig.S) : sig
     ?record_history:bool ->
     ?on_latency:(Traffic.request -> latency_ns:int -> unit) ->
     threads:int -> params -> result
-  (** [on_latency] fires at each request completion (the serving harness
-      feeds a streaming percentile estimator with it). *)
+  (** [on_latency] fires at each request completion. *)
 end
 
 val run :
