@@ -5,7 +5,7 @@
      dune exec bench/main.exe                 # everything, paper scale
      dune exec bench/main.exe -- --quick      # shrunken sweeps
      dune exec bench/main.exe -- fig3 fig11   # a subset
-     dune exec bench/main.exe -- --no-micro   # skip Bechamel section
+     dune exec bench/main.exe -- --no-micro   # skip Bechamel and the lock probe
      dune exec bench/main.exe -- --json       # also write BENCH.json *)
 
 let run_figures ~scale ~ids =
@@ -299,6 +299,57 @@ let run_bechamel () =
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
+(* Lock round-trip probe                                               *)
+
+(* Host cost of the sync path: one thread takes and releases one lock,
+   uncontended, with an empty region and with one 8-byte store in it.
+   A lock call blocks on the engine, which Bechamel cannot drive, so one
+   engine run times its own warmed loop. Reported per cycle: host ns
+   (best of a few rounds) and minor-heap words. *)
+let lock_probe () =
+  let warmup = 1_000 and cycles = 20_000 and rounds = 5 in
+  let measure ~store =
+    let sys = Samhita.System.create ~threads:1 () in
+    let m = Samhita.System.mutex sys in
+    let best_ns = ref infinity and words = ref nan in
+    ignore
+      (Samhita.System.spawn sys (fun t ->
+           let addr = Samhita.Thread_ctx.malloc t ~bytes:8 in
+           let cycle () =
+             Samhita.Thread_ctx.mutex_lock t m;
+             if store then Samhita.Thread_ctx.write_f64 t addr 1.0;
+             Samhita.Thread_ctx.mutex_unlock t m
+           in
+           for _ = 1 to warmup do
+             cycle ()
+           done;
+           for _ = 1 to rounds do
+             let w0 = Gc.minor_words () in
+             let t0 = Unix.gettimeofday () in
+             for _ = 1 to cycles do
+               cycle ()
+             done;
+             let t1 = Unix.gettimeofday () in
+             words := (Gc.minor_words () -. w0) /. float_of_int cycles;
+             best_ns := Float.min !best_ns ((t1 -. t0) *. 1e9 /. float_of_int cycles)
+           done)
+       : Samhita.Thread_ctx.t);
+    Samhita.System.run sys;
+    (!best_ns, !words)
+  in
+  let ns, words = measure ~store:false in
+  let ns_store, words_store = measure ~store:true in
+  Printf.printf
+    "== lock round trip (one engine run, warmed, uncontended) ==\n\
+    \  lock/unlock        %8.1f ns  %6.1f minor words per cycle\n\
+    \  lock/store/unlock  %8.1f ns  %6.1f minor words per cycle\n\n"
+    ns words ns_store words_store;
+  [ ("host_ns_per_cycle", ns);
+    ("minor_words_per_cycle", words);
+    ("host_ns_per_cycle_one_store", ns_store);
+    ("minor_words_per_cycle_one_store", words_store) ]
+
+(* ------------------------------------------------------------------ *)
 (* Replication cost probe                                              *)
 
 (* What does primary-backup fault tolerance cost a real kernel? One
@@ -410,7 +461,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let write_bench_json ~scale ~micro ~figures ~repl ~detect =
+let write_bench_json ~scale ~micro ~lock ~figures ~repl ~detect =
   let oc = open_out "BENCH.json" in
   let field_block name entries fmt_v =
     Printf.fprintf oc "  \"%s\": {" name;
@@ -440,6 +491,10 @@ let write_bench_json ~scale ~micro ~figures ~repl ~detect =
   if speedups <> [] then begin
     Printf.fprintf oc ",\n";
     field_block "speedup" speedups (Printf.sprintf "%.2f")
+  end;
+  if lock <> [] then begin
+    Printf.fprintf oc ",\n";
+    field_block "lock_round_trip" lock (Printf.sprintf "%.1f")
   end;
   if figures <> [] then begin
     Printf.fprintf oc ",\n";
@@ -476,10 +531,11 @@ let () =
     (if quick then "quick" else "paper");
   let figures = run_figures ~scale ~ids in
   let micro = if not no_micro then run_bechamel () else [] in
+  let lock = if not no_micro then lock_probe () else [] in
   if json then begin
     let repl = replication_probe () in
     let detect = detection_probe () in
     write_bench_json
       ~scale:(if quick then "quick" else "paper")
-      ~micro ~figures ~repl ~detect
+      ~micro ~lock ~figures ~repl ~detect
   end

@@ -786,11 +786,18 @@ let check_cmd =
       const run $ kernel_t $ threads_t $ pages_t $ crash_t $ max_t $ naive_t
       $ quantum_t $ compare_t $ replay_t)
 
+(* Command-line parse errors (an unknown option, a malformed value) exit
+   2 like every hand-validated usage error, not cmdliner's 124. *)
 let () =
   let doc = "Samhita virtual-shared-memory reproduction driver" in
   let info = Cmd.info "samhita_sim" ~version:"1.0.0" ~doc in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ list_cmd; fig_cmd; micro_cmd; jacobi_cmd; md_cmd; race_cmd;
-            serve_cmd; torture_cmd; check_cmd ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [ list_cmd; fig_cmd; micro_cmd; jacobi_cmd; md_cmd; race_cmd;
+              serve_cmd; torture_cmd; check_cmd ])
+     with
+     | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> Cmd.Exit.internal_error)

@@ -28,16 +28,27 @@ type history_entry = {
   h_line_versions : (int * int) list;
 }
 
+(* Fills ring slots that no release has reached yet; never read, since
+   only the [retained] newest slots are. *)
+let no_entry = { h_version = 0; h_log = []; h_line_versions = [] }
+
 type lock_state = {
-  mutable holder : int option;
+  mutable holder : int;  (* thread id, or -1 when free *)
   mutable waiters : waiter Queue.t;
   mutable version : int;
-  mutable history : history_entry list;  (* newest first *)
+  (* The last [update_log_history] releases as a ring: the release that
+     produced version [v] sits in slot [v mod update_log_history], and the
+     [retained] newest versions are live. Versions are consecutive, so the
+     ring covers exactly [version - retained + 1 .. version]. Allocated at
+     the first release; empty while [update_log_history = 0]. *)
+  mutable ring : history_entry array;
+  mutable retained : int;
   touched : (int, int) Hashtbl.t;  (* line -> latest version under lock *)
-  (* Highest release sequence number completed per thread: a shard-crash
-     retry whose original release mutated state but lost its ack must be
-     a no-op, not a double release. *)
-  release_seen : (int, int) Hashtbl.t;
+  (* Highest release sequence number completed per thread, indexed by
+     thread id (0: none yet): a shard-crash retry whose original release
+     mutated state but lost its ack must be a no-op, not a double
+     release. *)
+  mutable release_seen : int array;
 }
 
 type barrier_waiter = {
@@ -180,11 +191,10 @@ let server_for_thread cfg thread =
    observations of a line, migrate its home to the dominant writer's
    nearest server when that writer produced at least half the window.
    Pure function of the (deterministic) request sequence, so decisions
-   replay bit-for-bit. *)
-let note_writes t ~thread lines =
-  if t.cfg.Config.home_migration && t.migrate <> None then
-    List.iter
-      (fun line ->
+   replay bit-for-bit. Callers check {!migrating} first. *)
+let migrating t = t.cfg.Config.home_migration && t.migrate <> None
+
+let note_write t ~thread line =
          let per =
            match Hashtbl.find_opt t.write_counts line with
            | Some h -> h
@@ -216,8 +226,7 @@ let note_writes t ~thread lines =
                end
              | None -> ()
            end
-         end)
-      lines
+         end
 
 let set_migrator t f = t.migrate <- Some f
 let migrations t = t.migrations
@@ -246,18 +255,57 @@ let gas_used t = t.cursor
 (* Locks                                                               *)
 
 let lock_state t lock =
-  match Hashtbl.find_opt t.locks lock with
-  | Some s -> s
-  | None -> invalid_arg "Manager_shard: unknown lock"
+  match Hashtbl.find t.locks lock with
+  | s -> s
+  | exception Not_found -> invalid_arg "Manager_shard: unknown lock"
 
 let lock_register t ~id =
   Hashtbl.replace t.locks id
-    { holder = None;
+    { holder = -1;
       waiters = Queue.create ();
       version = 0;
-      history = [];
+      ring = [||];
+      retained = 0;
       touched = Hashtbl.create 16;
-      release_seen = Hashtbl.create 8 }
+      release_seen = [||] }
+
+let history_at st v = st.ring.(v mod Array.length st.ring)
+
+(* Retain a release's log in the ring, overwriting the oldest entry once
+   [update_log_history] are held. *)
+let record_release t st ~log ~line_versions =
+  let keep = t.cfg.Config.update_log_history in
+  if keep > 0 then begin
+    if Array.length st.ring = 0 then st.ring <- Array.make keep no_entry;
+    st.ring.(st.version mod keep) <-
+      { h_version = st.version; h_log = log; h_line_versions = line_versions };
+    if st.retained < keep then st.retained <- st.retained + 1
+  end
+
+let rec note_touched st = function
+  | [] -> ()
+  | (l, v) :: rest ->
+    Hashtbl.replace st.touched l v;
+    note_touched st rest
+
+(* Walk the gap's entries newest first. A line's newest version is the
+   first one met, so older entries add only lines not seen yet. *)
+let rec gather_patch st v ~last_seen log lvs =
+  if v <= last_seen then Patch (log, lvs)
+  else begin
+    let h = history_at st v in
+    let log = match log with [] -> h.h_log | _ -> h.h_log @ log in
+    let lvs =
+      match lvs with
+      | [] -> h.h_line_versions
+      | _ ->
+        List.fold_left
+          (fun acc ((l, _) as lv) ->
+             if List.mem_assoc l acc then acc else lv :: acc)
+          lvs h.h_line_versions
+    in
+    gather_patch st (v - 1) ~last_seen log lvs
+  end
 
 let lock_create t =
   let id = fresh_id t in
@@ -266,33 +314,17 @@ let lock_create t =
 
 (* Build the consistency action bringing a thread from [last_seen] up to
    the lock's current version. *)
-let grant_for t st ~last_seen =
+let grant_for st ~last_seen =
+  let gap = st.version - last_seen in
   let action =
-    if last_seen >= st.version then Fresh
-    else begin
-      (* History covers the gap iff it reaches back to last_seen + 1. *)
-      let covering =
-        List.filter (fun h -> h.h_version > last_seen) st.history
-      in
-      let covered =
-        List.length covering = st.version - last_seen
-        && t.cfg.Config.update_log_history > 0
-      in
-      if covered then begin
-        (* Oldest first so later stores overwrite earlier ones. *)
-        let ordered = List.rev covering in
-        let log = List.concat_map (fun h -> h.h_log) ordered in
-        let lv = Hashtbl.create 16 in
-        List.iter
-          (fun h ->
-             List.iter (fun (l, v) -> Hashtbl.replace lv l v)
-               h.h_line_versions)
-          ordered;
-        Patch (log, Hashtbl.fold (fun l v acc -> (l, v) :: acc) lv [])
-      end
-      else
-        Notices (Hashtbl.fold (fun l v acc -> (l, v) :: acc) st.touched [])
-    end
+    if gap <= 0 then Fresh
+    else if gap <= st.retained then
+      (* The ring covers the gap iff it reaches back to last_seen + 1. The
+         patch log is oldest first, so later stores overwrite earlier
+         ones. *)
+      gather_patch st st.version ~last_seen [] []
+    else
+      Notices (Hashtbl.fold (fun l v acc -> (l, v) :: acc) st.touched [])
   in
   let wire =
     grant_framing
@@ -304,17 +336,19 @@ let grant_for t st ~last_seen =
   { lock_version = st.version; action; wire_bytes = wire }
 
 let lock_acquire t ~now:_ ~lock ~thread ~last_seen ~endpoint ~wake =
+  if thread < 0 then
+    invalid_arg "Manager_shard.lock_acquire: negative thread id";
   let st = lock_state t lock in
-  match st.holder with
-  | Some h when h = thread ->
+  if st.holder = thread then
     (* Shard-crash retry: the original acquire was granted but the reply
        leg died with the shard. Nobody else can have advanced the lock
        (this thread holds it), so the same grant is rebuilt. *)
-    `Granted (grant_for t st ~last_seen)
-  | None ->
-    st.holder <- Some thread;
-    `Granted (grant_for t st ~last_seen)
-  | Some _ ->
+    `Granted (grant_for st ~last_seen)
+  else if st.holder < 0 then begin
+    st.holder <- thread;
+    `Granted (grant_for st ~last_seen)
+  end
+  else
     if Queue.fold (fun acc w -> acc || w.w_thread = thread) false st.waiters
     then begin
       (* Retry of a queued acquire: the first attempt's wake belongs to an
@@ -340,43 +374,39 @@ let lock_acquire t ~now:_ ~lock ~thread ~last_seen ~endpoint ~wake =
       `Queued
     end
 
-let lock_release ?seq t ~now ~lock ~thread ~log ~line_versions =
+let lock_release t ~seq ~now ~lock ~thread ~log ~line_versions =
+  if thread < 0 then
+    invalid_arg "Manager_shard.lock_release: negative thread id";
   let st = lock_state t lock in
   let duplicate =
-    match seq with
-    | Some s ->
-      (match Hashtbl.find_opt st.release_seen thread with
-       | Some s' -> s' >= s
-       | None -> false)
-    | None -> false
+    thread < Array.length st.release_seen && st.release_seen.(thread) >= seq
   in
   if not duplicate then begin
-    (match st.holder with
-     | Some h when h = thread -> ()
-     | _ ->
-       invalid_arg
-         "Manager_shard.lock_release: thread does not hold the lock");
-    (match seq with
-     | Some s -> Hashtbl.replace st.release_seen thread s
-     | None -> ());
+    if st.holder <> thread then
+      invalid_arg "Manager_shard.lock_release: thread does not hold the lock";
+    if thread >= Array.length st.release_seen then begin
+      let grown = Array.make (max (thread + 1) (2 * Array.length st.release_seen)) 0 in
+      Array.blit st.release_seen 0 grown 0 (Array.length st.release_seen);
+      st.release_seen <- grown
+    end;
+    st.release_seen.(thread) <- seq;
     st.version <- st.version + 1;
-    st.history <-
-      { h_version = st.version; h_log = log; h_line_versions = line_versions }
-      :: st.history;
-    (let keep = t.cfg.Config.update_log_history in
-     if List.length st.history > keep then
-       st.history <- List.filteri (fun i _ -> i < keep) st.history);
-    List.iter (fun (l, v) -> Hashtbl.replace st.touched l v) line_versions;
-    note_writes t ~thread (List.map fst line_versions);
-    match Queue.take_opt st.waiters with
-    | None -> st.holder <- None
-    | Some w ->
-      st.holder <- Some w.w_thread;
-      let g = grant_for t st ~last_seen:w.w_last_seen in
+    record_release t st ~log ~line_versions;
+    note_touched st line_versions;
+    if migrating t then
+      List.iter (fun (l, _) -> note_write t ~thread l) line_versions;
+    if Queue.is_empty st.waiters then st.holder <- -1
+    else begin
+      let w = Queue.take st.waiters in
+      st.holder <- w.w_thread;
+      let g = grant_for st ~last_seen:w.w_last_seen in
       push t ~now ~dst:w.w_endpoint ~bytes:g.wire_bytes (fun () -> w.w_wake g)
+    end
   end
 
-let lock_holder t lock = (lock_state t lock).holder
+let lock_holder t lock =
+  let h = (lock_state t lock).holder in
+  if h < 0 then None else Some h
 let lock_version t lock = (lock_state t lock).version
 
 (* ------------------------------------------------------------------ *)
@@ -459,7 +489,7 @@ let barrier_arrive ?epoch t ~now ~barrier ~thread ~lines ~endpoint ~wake =
          in
          Tset.add set thread)
       lines;
-    note_writes t ~thread lines;
+    if migrating t then List.iter (note_write t ~thread) lines;
     Tset.add st.parts thread;
     st.arrived <- st.arrived + 1;
     if st.arrived < st.parties then begin
@@ -599,7 +629,8 @@ let replay t ~dir ~servers ~dead ~promoted ~subscribers ~now =
                             version = v; data = Memory_server.line psrv line })
                  end)
               h.h_line_versions)
-         (List.rev st.history))
+         (List.init st.retained (fun i ->
+              history_at st (st.version - st.retained + 1 + i))))
     locks;
   t.replayed <- t.replayed + !replayed_here;
   !replayed_here

@@ -23,7 +23,7 @@
     starting at [~now].
 
     Retry contract (shard crash): requests carry enough identity
-    ([?seq] on release, [?epoch] on barrier arrival, the thread id on
+    ([~seq] on release, [?epoch] on barrier arrival, the thread id on
     acquire) that a retry of a request whose original execution mutated
     state but whose reply was lost is recognized and answered without
     mutating twice. *)
@@ -38,8 +38,9 @@ type cond_id = int
 type grant_action =
   | Fresh  (** Acquirer already saw every release. *)
   | Patch of Update.t list * (int * int) list
-      (** Apply these fine-grained updates to cached lines, then set the
-          cached versions per the [(line, version)] list. *)
+      (** Apply these fine-grained updates (oldest first) to cached
+          lines. The [(line, version)] list holds each line the updates
+          touched once, at its newest version, in no particular order. *)
   | Notices of (int * int) list
       (** History insufficient: invalidate any cached line older than its
           [(line, version)] entry. *)
@@ -85,19 +86,19 @@ val lock_acquire :
     held, queues the waiter; on hand-off the shard schedules the grant
     transfer and [wake] runs at its arrival. A retry by the current holder
     re-grants; a retry by an already-queued thread replaces the stale
-    queued [wake]. *)
+    queued [wake]. Raises [Invalid_argument] on a negative [thread]. *)
 
 val lock_release :
-  ?seq:int ->
-  t -> now:Desim.Time.t -> lock:lock_id -> thread:int ->
+  t -> seq:int -> now:Desim.Time.t -> lock:lock_id -> thread:int ->
   log:Update.t list -> line_versions:(int * int) list -> unit
 (** Record the release: bumps the lock version, retains the release log
-    (bounded history) for future acquirers, merges [line_versions] into the
-    lock's notice map, and hands the lock to the next waiter if any.
-    [?seq] is the releaser's per-lock release sequence number: a retry
+    in the lock's history ring (the last [Config.update_log_history]
+    releases) for future acquirers, merges [line_versions] into the lock's
+    notice map, and hands the lock to the next waiter if any. [seq] is the
+    releaser's per-lock release sequence number, counting from 1: a retry
     carrying an already-recorded [seq] is a no-op (shard-crash
-    idempotence). Raises [Invalid_argument] if [thread] does not hold the
-    lock. *)
+    idempotence). Raises [Invalid_argument] if [thread] is negative or
+    does not hold the lock. *)
 
 val lock_holder : t -> lock_id -> int option
 val lock_version : t -> lock_id -> int

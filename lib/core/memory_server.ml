@@ -77,12 +77,17 @@ let apply_diff t diff =
 
 let apply_update t (u : Update.t) =
   Desim.Stats.Counter.incr t.updates;
-  let touched = Update.lines_touched t.layout u in
-  List.map
-    (fun l ->
-       Update.apply_to_line t.layout u ~line:l (line t l);
-       (l, bump_version t l))
-    touched
+  let len = Bytes.length u.Update.data in
+  let last = Layout.line_of_addr t.layout (u.Update.addr + len - 1) in
+  let rec from l =
+    if l > last then []
+    else begin
+      Update.apply_to_line t.layout u ~line:l (line t l);
+      let v = bump_version t l in
+      (l, v) :: from (l + 1)
+    end
+  in
+  if len = 0 then [] else from (Layout.line_of_addr t.layout u.Update.addr)
 
 let note_mirror t ~bytes =
   t.mirrors <- t.mirrors + 1;
@@ -106,8 +111,8 @@ let iter_lines t f =
 
 let service_time_for_bytes t bytes =
   t.cfg.Config.server_service
-  + Desim.Time.span_of_float_ns
-      (float_of_int bytes *. t.cfg.Config.diff_apply_ns_per_byte)
+  + Desim.Time.span_of_units ~units:bytes
+      ~ns_per_unit:t.cfg.Config.diff_apply_ns_per_byte
 
 let lines_resident t = Hashtbl.length t.store
 let fetches t = Desim.Stats.Counter.value t.fetches

@@ -14,6 +14,23 @@ type env = {
   subscribers : Probe.subscriber list;  (** The observer stream. *)
 }
 
+(* This thread's view of one lock, created at its first acquire. *)
+type lock_slot = {
+  lock : Manager_shard.lock_id;
+  mutable seen : int;  (* last lock version integrated *)
+  (* Last release sequence number sent: each release carries the next
+     number so a shard-crash retry of the same release is recognized as a
+     duplicate and not double-applied. *)
+  mutable seq : int;
+  mutable held_at : int;  (* index in [held], or -1 *)
+  (* The consistency-region store log while held, newest store first. *)
+  mutable log : Update.t list;
+}
+
+(* Fills [slots] where this thread never acquired the lock; never
+   mutated. *)
+let no_slot = { lock = -1; seen = 0; seq = 0; held_at = -1; log = [] }
+
 type t = {
   id : int;
   e : env;
@@ -32,15 +49,16 @@ type t = {
      entry it is poisoned to line -1 too, so no removal site has to reset
      this field. *)
   mutable last : Cache.entry;
-  (* Held locks, innermost first, each with its consistency-region store
-     log (newest store first). *)
-  mutable held : (Manager_shard.lock_id * Update.t list ref) list;
-  (* Last lock version integrated, per lock. *)
-  lock_seen : (Manager_shard.lock_id, int) Hashtbl.t;
-  (* Per-lock release sequence numbers: each release carries the next
-     number so a shard-crash retry of the same release is recognized as a
-     duplicate and not double-applied. *)
-  release_seq : (Manager_shard.lock_id, int) Hashtbl.t;
+  (* Per-lock state, indexed by lock id. *)
+  mutable slots : lock_slot array;
+  (* Held locks in acquisition order: [held.(0 .. depth - 1)], innermost
+     last. *)
+  mutable held : lock_slot array;
+  mutable depth : int;
+  (* The crash behind a {!lost_grant} wake-up: the dead node and the
+     instant the sender gave up on it. *)
+  mutable lost_node : int;
+  mutable lost_at : Desim.Time.t;
   (* Lines this thread flushed as ordinary-region diffs (at consistency
      points or evictions) since its last barrier. Reported as write notices
      at the next barrier so every other thread invalidates its stale
@@ -74,9 +92,11 @@ let create e ~id ~node =
       arena = Allocator.Arena.create ();
       accum = Float.Array.make 1 0.;
       last = Cache.no_entry cache;
-      held = [];
-      lock_seen = Hashtbl.create 8;
-      release_seq = Hashtbl.create 8;
+      slots = [||];
+      held = [||];
+      depth = 0;
+      lost_node = -1;
+      lost_at = Desim.Time.zero;
       interval_writes = Hashtbl.create 16;
       m_compute = 0;
       m_sync = 0;
@@ -111,9 +131,8 @@ let endpoint t = t.endpoint
 let now t = Desim.Engine.now t.e.engine
 
 let sync_clock t =
-  let a = Float.Array.unsafe_get t.accum 0 in
-  if a > 0. then begin
-    let d = Desim.Time.span_of_float_ns a in
+  if Float.Array.unsafe_get t.accum 0 > 0. then begin
+    let d = Desim.Time.span_of_cell t.accum in
     Float.Array.unsafe_set t.accum 0 0.;
     t.m_compute <- t.m_compute + d;
     Desim.Engine.delay d
@@ -128,7 +147,7 @@ let charge_flops t n = charge t (float_of_int n *. t.e.cfg.Config.t_flop)
    request starts and completions with this. *)
 let now_ns t =
   Desim.Time.to_ns (now t)
-  + Desim.Time.span_of_float_ns (Float.Array.unsafe_get t.accum 0)
+  + Desim.Time.span_of_cell t.accum
 
 (* Advance virtual time to at least [target] (ns since simulation start),
    accounting the gap as idle — neither compute nor sync — so a serving
@@ -202,26 +221,31 @@ let fence t ~logical ~epoch =
   Directory.fence t.e.dir ~logical ~epoch
 
 (* The control-plane analogue: absorb a fail-stop crash of a manager
-   shard. Wait out the paid retransmission timeouts, park until the shard
-   monitor's takeover repoints the shard map (unless it already has), then
-   re-run [f] — which re-resolves its shard through the control plane and
-   lands on the ring successor. Every shard RPC below is idempotent under
-   retry (holder re-grants, release sequence numbers, barrier epoch
-   replay), so a request that executed before the crash is not
-   double-applied. *)
+   shard. If [node] (given up on at [at]) is a shard, wait out the paid
+   retransmission timeouts, park until the shard monitor's takeover
+   repoints the shard map (unless it already has) and return true: the
+   caller re-runs its request, which re-resolves its shard through the
+   control plane and lands on the ring successor. Every shard RPC below
+   is idempotent under retry (holder re-grants, release sequence numbers,
+   barrier epoch replay), so a request that executed before the crash is
+   not double-applied. *)
+let await_shard_takeover t node at =
+  match Control_plane.shard_node_of t.e.cp node with
+  | None -> false
+  | Some logical ->
+    t.m_failovers <- t.m_failovers + 1;
+    if Desim.Time.( < ) (now t) at then delay_until t at;
+    if not (Control_plane.shard_failed t.e.cp logical) then
+      Desim.Engine.suspend ~register:(fun ~wake ->
+          Control_plane.await_shard_recovery t.e.cp ~wake);
+    true
+
 let rec with_shard_failover t f =
-  try f () with
-  | Fabric.Scl.Node_dead (node, at)
-    when Control_plane.shard_node_of t.e.cp node <> None ->
-    (match Control_plane.shard_node_of t.e.cp node with
-     | None -> assert false
-     | Some logical ->
-       t.m_failovers <- t.m_failovers + 1;
-       if Desim.Time.( < ) (now t) at then delay_until t at;
-       if not (Control_plane.shard_failed t.e.cp logical) then
-         Desim.Engine.suspend ~register:(fun ~wake ->
-             Control_plane.await_shard_recovery t.e.cp ~wake);
-       with_shard_failover t f)
+  match f () with
+  | v -> v
+  | exception (Fabric.Scl.Node_dead (node, at) as e) ->
+    if await_shard_takeover t node at then with_shard_failover t f
+    else raise e
 
 (* Framing of a primary-to-backup mirror message beyond its payload. *)
 let mirror_overhead_wire = 32
@@ -293,7 +317,7 @@ let observe_read t ~addr ~len =
   if observed t then
     emit t (Probe.Read { thread = t.id; time = now t; addr; len; value = None })
 
-let held_lock t = match t.held with (l, _) :: _ -> l | [] -> -1
+let held_lock t = if t.depth > 0 then t.held.(t.depth - 1).lock else -1
 
 let observe_write t ~addr ~len =
   if observed t then
@@ -856,20 +880,21 @@ let[@inline] write_word t addr v =
     (* Dirty tracking must precede the store: the twin snapshots the
        pre-store contents, or the store would be absent from its own
        diff. *)
-    (match t.held with
-     | (_, log) :: _ ->
-       (* Consistency region: fine-grained logging (the paper's
-          instrumented store path). The store also lands in any twin so
-          it can never be picked up a second time by this thread's
-          ordinary-region diff — that stale re-flush would overwrite
-          later holders' updates at the home. *)
-       log :=
-         Update.append ~coalesce:t.e.cfg.Config.coalesce_updates !log
-           ~addr (Update.i64_data v);
-       (match entry.Cache.twin with
-        | Some twin -> Bytes.set_int64_le twin off v
-        | None -> ())
-     | [] -> Cache.mark_written t.cache entry ~offset:off ~len:8);
+    if t.depth > 0 then begin
+      (* Consistency region: fine-grained logging (the paper's
+         instrumented store path). The store also lands in any twin so
+         it can never be picked up a second time by this thread's
+         ordinary-region diff — that stale re-flush would overwrite
+         later holders' updates at the home. *)
+      let r = t.held.(t.depth - 1) in
+      r.log <-
+        Update.append ~coalesce:t.e.cfg.Config.coalesce_updates r.log
+          ~addr (Update.i64_data v);
+      match entry.Cache.twin with
+      | Some twin -> Bytes.set_int64_le twin off v
+      | None -> ()
+    end
+    else Cache.mark_written t.cache entry ~offset:off ~len:8;
     Bytes.set_int64_le entry.Cache.data off v
 
 let read_i64 t addr = read_word t addr
@@ -903,15 +928,16 @@ let write_bytes t addr src =
       let off = line_off t a in
       let seg = min (len - !pos) (t.e.layout.Layout.line_bytes - off) in
       charge_extra_words t seg;
-      (match t.held with
-       | (_, log) :: _ ->
-         log :=
-           Update.append ~coalesce:t.e.cfg.Config.coalesce_updates !log
-             ~addr:a (Bytes.sub src !pos seg);
-         (match entry.Cache.twin with
-          | Some twin -> Bytes.blit src !pos twin off seg
-          | None -> ())
-       | [] -> Cache.mark_written t.cache entry ~offset:off ~len:seg);
+      if t.depth > 0 then begin
+        let r = t.held.(t.depth - 1) in
+        r.log <-
+          Update.append ~coalesce:t.e.cfg.Config.coalesce_updates r.log
+            ~addr:a (Bytes.sub src !pos seg);
+        match entry.Cache.twin with
+        | Some twin -> Bytes.blit src !pos twin off seg
+        | None -> ()
+      end
+      else Cache.mark_written t.cache entry ~offset:off ~len:seg;
       Bytes.blit src !pos entry.Cache.data off seg;
       pos := !pos + seg
   done
@@ -961,10 +987,10 @@ let write_i32 t addr v =
 let read_f32 t addr = Int32.float_of_bits (read_i32 t addr)
 let write_f32 t addr v = write_i32 t addr (Int32.bits_of_float v)
 
-let in_consistency_region t = t.held <> []
+let in_consistency_region t = t.depth > 0
 
 (* Innermost-first, matching acquisition nesting. *)
-let held_locks t = List.map fst t.held
+let held_locks t = List.init t.depth (fun i -> t.held.(t.depth - 1 - i).lock)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -1050,6 +1076,38 @@ let apply_writer_notices t notices =
          Cache.invalidate t.cache line)
     notices
 
+(* Apply update [u] to the cached copies of lines [line .. last];
+   returns [patched] plus the update's size per copy patched. *)
+let rec patch_lines t (u : Update.t) ~line ~last patched =
+  if line > last then patched
+  else
+    match Cache.peek t.cache line with
+    | Some entry ->
+      Update.apply_to_line t.e.layout u ~line entry.Cache.data;
+      (* Keep any twin in step so the patch is not re-flushed as part of
+         this thread's own diff. *)
+      (match entry.Cache.twin with
+       | Some twin -> Update.apply_to_line t.e.layout u ~line twin
+       | None -> ());
+      patch_lines t u ~line:(line + 1) ~last
+        (patched + Bytes.length u.Update.data)
+    | None -> patch_lines t u ~line:(line + 1) ~last patched
+
+let rec patch_log t log patched =
+  match log with
+  | [] -> patched
+  | (u : Update.t) :: rest ->
+    let len = Bytes.length u.Update.data in
+    let patched =
+      if len = 0 then patched
+      else
+        patch_lines t u
+          ~line:(Layout.line_of_addr t.e.layout u.Update.addr)
+          ~last:(Layout.line_of_addr t.e.layout (u.Update.addr + len - 1))
+          patched
+    in
+    patch_log t rest patched
+
 let apply_grant t (g : Manager_shard.grant) =
   match g.Manager_shard.action with
   | Manager_shard.Fresh -> ()
@@ -1063,159 +1121,190 @@ let apply_grant t (g : Manager_shard.grant) =
        is a race, exactly as mixing atomic and plain accesses is under
        Pthreads.) Entry versions are deliberately left at their fetch/flush
        values: a patch refreshes only this lock's bytes, not the line. *)
-    let patched = ref 0 in
-    List.iter
-      (fun (u : Update.t) ->
-         List.iter
-           (fun line ->
-              match Cache.peek t.cache line with
-              | Some entry ->
-                Update.apply_to_line t.e.layout u ~line entry.Cache.data;
-                (* Keep any twin in step so the patch is not re-flushed as
-                   part of this thread's own diff. *)
-                (match entry.Cache.twin with
-                 | Some twin -> Update.apply_to_line t.e.layout u ~line twin
-                 | None -> ());
-                patched := !patched + Bytes.length u.Update.data
-              | None -> ())
-           (Update.lines_touched t.e.layout u))
-      log;
-    if !patched > 0 then
+    let patched = patch_log t log 0 in
+    if patched > 0 then
       Desim.Engine.delay
-        (Desim.Time.span_of_float_ns
-           (float_of_int !patched *. t.e.cfg.Config.diff_apply_ns_per_byte))
+        (Desim.Time.span_of_units ~units:patched
+           ~ns_per_unit:t.e.cfg.Config.diff_apply_ns_per_byte)
 
 (* ------------------------------------------------------------------ *)
 (* Fine-grained update flush (release path)                            *)
 
+(* Logical home of an update: that of the first line it touches. *)
+let update_home t (u : Update.t) =
+  Directory.logical_of_line t.e.dir t.e.cfg
+    ~line:(Layout.line_of_addr t.e.layout u.Update.addr)
+
+(* The lowest home above [above] among [log]'s updates, or [max_int]. *)
+let rec next_home t log ~above best =
+  match log with
+  | [] -> best
+  | u :: rest ->
+    let s = update_home t u in
+    next_home t rest ~above (if s > above && s < best then s else best)
+
+(* Keep the first entry per line of a newest-first [(line, version)] list,
+   i.e. each line's newest version. *)
+let rec newest_per_line acc = function
+  | [] -> acc
+  | ((l, _) as lv) :: rest ->
+    newest_per_line (if List.mem_assoc l acc then acc else lv :: acc) rest
+
+(* Ship one home's batch of a release log and apply it there. Returns the
+   published [(line, version)]s prepended newest first to [published]. *)
+let flush_update_batch t ~home:s batch published =
+  let wire = Update.log_wire_bytes batch in
+  (* [s] is the logical home; re-resolve the physical server inside the
+     retried block (see {!flush_dirty_all}). *)
+  with_failover t (fun () ->
+      let epoch = Directory.epoch_of t.e.dir ~logical:s in
+      let srv = t.e.servers.(Directory.physical_of_logical t.e.dir s) in
+      let sep = Memory_server.endpoint srv in
+      let arrival = transfer_to t ~dst:sep ~bytes:wire in
+      let served =
+        Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
+          ~duration:(Memory_server.service_time_for_bytes srv wire)
+      in
+      let ready, mirrored =
+        replicate_ready t srv ~at:served ~payload_bytes:wire
+      in
+      let reply = transfer_from t ~src:sep ~at:ready ~bytes:diff_reply_wire in
+      delay_until t reply;
+      (* Epoch fence before the log applies (see flush_entry): the ack
+         either commits under the epoch we resolved or the whole batch
+         re-runs — never half-applied. *)
+      fence t ~logical:s ~epoch;
+      if mirrored then Memory_server.note_mirror srv ~bytes:wire;
+      List.fold_left
+        (fun published (u : Update.t) ->
+           (* Re-resolve at apply time (see {!flush_dirty_all}): a
+              concurrent home migration must not strand the update at the
+              old home. *)
+           let srv =
+             server_of t (Layout.line_of_addr t.e.layout u.Update.addr)
+           in
+           let lvs = Memory_server.apply_update srv u in
+           if mirrored then mirror_update t srv u ~line_versions:lvs;
+           List.fold_left
+             (fun published ((line, v) as lv) ->
+                observe_publish t ~srv ~line ~version:v;
+                (* Our own cached copy already holds the stored values;
+                   track the new home version so barrier notices do not
+                   invalidate it spuriously. *)
+                (match Cache.peek t.cache line with
+                 | Some entry -> entry.Cache.version <- v
+                 | None -> ());
+                lv :: published)
+             published lvs)
+        published batch)
+
+(* Ship a release log (oldest store first) to its homes, one batch per
+   logical home in ascending home order, and return each touched line
+   once with its new home version. The batches are formed before the
+   first one ships: a home migration may land while a batch is in
+   flight. *)
 let flush_update_log t log =
   if log = [] then []
-  else begin
-    let by_server = Hashtbl.create 4 in
-    List.iter
-      (fun (u : Update.t) ->
-         let line = List.hd (Update.lines_touched t.e.layout u) in
-         let s = Directory.logical_of_line t.e.dir t.e.cfg ~line in
-         let existing =
-           Option.value (Hashtbl.find_opt by_server s) ~default:[]
-         in
-         Hashtbl.replace by_server s (u :: existing))
-      log;
-    let servers =
-      List.sort Int.compare (Hashtbl.fold (fun s _ a -> s :: a) by_server [])
-    in
-    let merged = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-         (* [s] is the logical home; re-resolve the physical server inside
-            the retried block (see {!flush_dirty_all}). *)
-         let batch = List.rev (Hashtbl.find by_server s) in
-         let wire = Update.log_wire_bytes batch in
-         with_failover t (fun () ->
-             let epoch = Directory.epoch_of t.e.dir ~logical:s in
-             let srv =
-               t.e.servers.(Directory.physical_of_logical t.e.dir s)
-             in
-             let sep = Memory_server.endpoint srv in
-             let arrival = transfer_to t ~dst:sep ~bytes:wire in
-             let served =
-               Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-                 ~duration:(Memory_server.service_time_for_bytes srv wire)
-             in
-             let ready, mirrored =
-               replicate_ready t srv ~at:served ~payload_bytes:wire
-             in
-             let reply =
-               transfer_from t ~src:sep ~at:ready ~bytes:diff_reply_wire
-             in
-             delay_until t reply;
-             (* Epoch fence before the log applies (see flush_entry):
-                the ack either commits under the epoch we resolved or
-                the whole batch re-runs — never half-applied. *)
-             fence t ~logical:s ~epoch;
-             if mirrored then Memory_server.note_mirror srv ~bytes:wire;
-             List.iter
-               (fun u ->
-                  (* Re-resolve at apply time (see {!flush_dirty_all}): a
-                     concurrent home migration must not strand the update
-                     at the old home. *)
-                  let srv =
-                    server_of t (List.hd (Update.lines_touched t.e.layout u))
-                  in
-                  let lvs = Memory_server.apply_update srv u in
-                  if mirrored then
-                    mirror_update t srv u ~line_versions:lvs;
-                  List.iter
-                    (fun (line, v) ->
-                       observe_publish t ~srv ~line ~version:v;
-                       Hashtbl.replace merged line v;
-                       (* Our own cached copy already holds the stored
-                          values; track the new home version so barrier
-                          notices do not invalidate it spuriously. *)
-                       match Cache.peek t.cache line with
-                       | Some entry -> entry.Cache.version <- v
-                       | None -> ())
-                    lvs)
-               batch))
-      servers;
-    (* Note: lines touched here are deliberately NOT added to
-       interval_writes. Under RegC, consistency-region data propagates via
-       the lock protocol (grant patches); only ordinary-region writes
-       produce barrier write notices. Reading lock-protected data without
-       the lock is a race, exactly as under Pthreads. *)
-    Hashtbl.fold (fun l v acc -> (l, v) :: acc) merged []
-  end
+  else
+  let rec batches above =
+    let s = next_home t log ~above max_int in
+    if s = max_int then []
+    else begin
+      let batch =
+        if above < 0 && next_home t log ~above:s max_int = max_int then log
+        else List.filter (fun u -> update_home t u = s) log
+      in
+      (s, batch) :: batches s
+    end
+  in
+  let published =
+    List.fold_left
+      (fun published (s, batch) -> flush_update_batch t ~home:s batch published)
+      [] (batches (-1))
+  in
+  (* Note: lines touched here are deliberately NOT added to
+     interval_writes. Under RegC, consistency-region data propagates via
+     the lock protocol (grant patches); only ordinary-region writes
+     produce barrier write notices. Reading lock-protected data without
+     the lock is a race, exactly as under Pthreads. *)
+  match log with
+  | [] | [ _ ] -> published
+  | _ -> newest_per_line [] published
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization                                                     *)
+
+(* This thread's slot for [lock], created at first use. *)
+let lock_slot t lock =
+  if lock < 0 then invalid_arg "Samhita: negative lock id";
+  let n = Array.length t.slots in
+  if lock >= n then begin
+    let grown = Array.make (max (lock + 1) (2 * n)) no_slot in
+    Array.blit t.slots 0 grown 0 n;
+    t.slots <- grown
+  end;
+  let s = t.slots.(lock) in
+  if s != no_slot then s
+  else begin
+    let s = { lock; seen = 0; seq = 0; held_at = -1; log = [] } in
+    t.slots.(lock) <- s;
+    s
+  end
+
+(* Woken with this instead of a grant, an acquirer re-raises the crash
+   recorded in [lost_node]/[lost_at]. *)
+let lost_grant =
+  { Manager_shard.lock_version = -1; action = Manager_shard.Fresh;
+    wire_bytes = 0 }
+
+(* One acquire round trip, run as the suspension's [register] so the
+   process is parked before any grant can reach [wake]. If a transfer leg
+   dies with the shard, [wake] gets [lost_grant] at the give-up instant
+   instead — the one-shot continuation is never leaked, never resumed
+   twice. *)
+let request_grant t ~lock ~last_seen ~wake =
+  let mgr = Control_plane.shard_for t.e.cp lock in
+  let mep = Manager_shard.endpoint mgr in
+  try
+    let arrival =
+      transfer_to t ~dst:mep ~bytes:Manager_shard.acquire_request_wire
+    in
+    let served =
+      Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
+        ~duration:t.e.cfg.Config.manager_service
+    in
+    match
+      Manager_shard.lock_acquire mgr ~now:served ~lock ~thread:t.id ~last_seen
+        ~endpoint:t.endpoint ~wake
+    with
+    | `Granted g ->
+      let reply =
+        transfer_from t ~src:mep ~at:served ~bytes:g.Manager_shard.wire_bytes
+      in
+      Desim.Engine.schedule_at t.e.engine reply (fun () -> wake g)
+    | `Queued -> ()
+  with Fabric.Scl.Node_dead (n, at) ->
+    t.lost_node <- n;
+    t.lost_at <- at;
+    Desim.Engine.schedule_at t.e.engine at (fun () -> wake lost_grant)
+
+let rec acquire_grant t ~lock ~last_seen =
+  let g =
+    Desim.Engine.suspendv ~register:(fun ~wake ->
+        request_grant t ~lock ~last_seen ~wake)
+  in
+  if g != lost_grant then g
+  else if await_shard_takeover t t.lost_node t.lost_at then
+    acquire_grant t ~lock ~last_seen
+  else raise (Fabric.Scl.Node_dead (t.lost_node, t.lost_at))
 
 let mutex_lock t lock =
   sync_clock t;
   if observed t then
     emit t (Probe.Lock_attempt { thread = t.id; time = now t; lock });
   let start = now t in
-  let last_seen =
-    Option.value (Hashtbl.find_opt t.lock_seen lock) ~default:0
-  in
-  let grant =
-    with_shard_failover t (fun () ->
-        let mgr = Control_plane.shard_for t.e.cp lock in
-        let mep = Manager_shard.endpoint mgr in
-        (* The one-shot continuation is threaded through an [Ok]/[Error]
-           result: if a transfer leg dies with the shard, the continuation
-           is consumed with [Error] at the give-up instant and the crash
-           re-raised outside — never leaked, never resumed twice. *)
-        match
-          Desim.Engine.suspendv ~register:(fun ~wake ->
-              try
-                let arrival =
-                  transfer_to t ~dst:mep
-                    ~bytes:Manager_shard.acquire_request_wire
-                in
-                let served =
-                  Desim.Resource.reserve (Manager_shard.service mgr)
-                    ~now:arrival ~duration:t.e.cfg.Config.manager_service
-                in
-                match
-                  Manager_shard.lock_acquire mgr ~now:served ~lock
-                    ~thread:t.id ~last_seen ~endpoint:t.endpoint
-                    ~wake:(fun g -> wake (Ok g))
-                with
-                | `Granted g ->
-                  let reply =
-                    transfer_from t ~src:mep ~at:served
-                      ~bytes:g.Manager_shard.wire_bytes
-                  in
-                  Desim.Engine.schedule_at t.e.engine reply (fun () ->
-                      wake (Ok g))
-                | `Queued -> ()
-              with Fabric.Scl.Node_dead (n, at) ->
-                Desim.Engine.schedule_at t.e.engine at (fun () ->
-                    wake (Error (n, at))))
-        with
-        | Ok g -> g
-        | Error (n, at) -> raise (Fabric.Scl.Node_dead (n, at)))
-  in
+  let slot = lock_slot t lock in
+  let grant = acquire_grant t ~lock ~last_seen:slot.seen in
   if observed t then
     emit t
       (Probe.Grant
@@ -1227,52 +1316,78 @@ let mutex_lock t lock =
               | Manager_shard.Patch (log, _) -> Probe.Patch (List.length log)
               | Manager_shard.Notices ns -> Probe.Notices (List.length ns)) });
   apply_grant t grant;
-  Hashtbl.replace t.lock_seen lock grant.Manager_shard.lock_version;
+  slot.seen <- grant.Manager_shard.lock_version;
   if observed t then
     emit t
       (Probe.Sync { thread = t.id; time = now t; op = Lock_acquired lock });
-  t.held <- (lock, ref []) :: t.held;
+  if t.depth = Array.length t.held then begin
+    let grown = Array.make (max 4 (2 * t.depth)) no_slot in
+    Array.blit t.held 0 grown 0 t.depth;
+    t.held <- grown
+  end;
+  slot.log <- [];
+  slot.held_at <- t.depth;
+  t.held.(t.depth) <- slot;
+  t.depth <- t.depth + 1;
   t.m_locks <- t.m_locks + 1;
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
+
+(* The release round trip: the shard records the release on arrival and
+   acks. *)
+let rec send_release t slot ~log ~line_versions ~wire =
+  let lock = slot.lock in
+  match
+    let mgr = Control_plane.shard_for t.e.cp lock in
+    let mep = Manager_shard.endpoint mgr in
+    let arrival = transfer_to t ~dst:mep ~bytes:wire in
+    let served =
+      Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
+        ~duration:t.e.cfg.Config.manager_service
+    in
+    Manager_shard.lock_release mgr ~seq:slot.seq ~now:served ~lock
+      ~thread:t.id ~log ~line_versions;
+    if observed t then
+      emit t
+        (Probe.Release
+           { thread = t.id; time = now t; lock; updates = List.length log;
+             lines = List.length line_versions });
+    slot.seen <- Manager_shard.lock_version mgr lock;
+    let reply =
+      transfer_from t ~src:mep ~at:served ~bytes:Manager_shard.ack_wire
+    in
+    delay_until t reply
+  with
+  | () -> ()
+  | exception (Fabric.Scl.Node_dead (node, at) as e) ->
+    if await_shard_takeover t node at then
+      send_release t slot ~log ~line_versions ~wire
+    else raise e
 
 let mutex_unlock t lock =
   sync_clock t;
   if observed t then
     emit t (Probe.Unlock_start { thread = t.id; time = now t; lock });
   let start = now t in
-  let log =
-    match List.assoc_opt lock t.held with
-    | Some log_ref ->
-      t.held <- List.remove_assoc lock t.held;
-      List.rev !log_ref
-    | None -> invalid_arg "Samhita.mutex_unlock: lock not held by thread"
+  let slot =
+    if lock >= 0 && lock < Array.length t.slots then t.slots.(lock)
+    else no_slot
   in
+  let i = slot.held_at in
+  if i < 0 then invalid_arg "Samhita.mutex_unlock: lock not held by thread";
+  for j = i + 1 to t.depth - 1 do
+    let above = t.held.(j) in
+    above.held_at <- j - 1;
+    t.held.(j - 1) <- above
+  done;
+  t.depth <- t.depth - 1;
+  t.held.(t.depth) <- no_slot;
+  slot.held_at <- -1;
+  let log = List.rev slot.log in
+  slot.log <- [];
   let line_versions = flush_update_log t log in
   let wire = Manager_shard.release_wire ~log ~line_versions in
-  (* The release carries a per-lock sequence number so a shard-crash
-     retry that already executed is a no-op at the takeover shard. *)
-  let seq = 1 + Option.value (Hashtbl.find_opt t.release_seq lock) ~default:0 in
-  Hashtbl.replace t.release_seq lock seq;
-  with_shard_failover t (fun () ->
-      let mgr = Control_plane.shard_for t.e.cp lock in
-      let mep = Manager_shard.endpoint mgr in
-      let arrival = transfer_to t ~dst:mep ~bytes:wire in
-      let served =
-        Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
-          ~duration:t.e.cfg.Config.manager_service
-      in
-      Manager_shard.lock_release mgr ~seq ~now:served ~lock ~thread:t.id ~log
-        ~line_versions;
-      if observed t then
-        emit t
-          (Probe.Release
-             { thread = t.id; time = now t; lock; updates = List.length log;
-               lines = List.length line_versions });
-      Hashtbl.replace t.lock_seen lock (Manager_shard.lock_version mgr lock);
-      let reply =
-        transfer_from t ~src:mep ~at:served ~bytes:Manager_shard.ack_wire
-      in
-      delay_until t reply);
+  slot.seq <- slot.seq + 1;
+  send_release t slot ~log ~line_versions ~wire;
   if observed t then
     emit t (Probe.Sync { thread = t.id; time = now t; op = Unlock lock });
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start

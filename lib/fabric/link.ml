@@ -19,7 +19,7 @@ let name t = t.name
 let latency t = t.latency
 
 let serialization_time t ~bytes =
-  Desim.Time.span_of_float_ns (float_of_int bytes /. t.bandwidth *. 1e9)
+  Desim.Time.span_of_bytes ~bytes ~bytes_per_s:t.bandwidth
 
 let occupy t ~now ~bytes =
   t.bytes <- t.bytes + bytes;

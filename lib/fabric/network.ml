@@ -58,8 +58,7 @@ let transfer t ~now ~src ~dst ~bytes =
   if src = dst then
     (* Loopbacks never cross the fabric, so faults do not apply. *)
     let copy =
-      Desim.Time.span_of_float_ns
-        (float_of_int bytes /. loopback_bandwidth *. 1e9)
+      Desim.Time.span_of_bytes ~bytes ~bytes_per_s:loopback_bandwidth
     in
     Desim.Time.add start copy
   else
@@ -140,8 +139,8 @@ let one_way_estimate t ~bytes =
   let p = t.profile in
   let wire_bytes = bytes + p.header_bytes in
   let ser =
-    Desim.Time.span_of_float_ns
-      (float_of_int wire_bytes /. p.bandwidth_bytes_per_s *. 1e9)
+    Desim.Time.span_of_bytes ~bytes:wire_bytes
+      ~bytes_per_s:p.bandwidth_bytes_per_s
   in
   (* Serialization happens at both the tx and rx ports (store-and-forward
      through the switch, or injection + delivery DMA on a direct bus);

@@ -1,8 +1,16 @@
 type chooser = time:int -> seqs:int array -> int
 
+(* An event-queue payload: a plain callback, or a parked process to
+   resume with a value. Resuming through [Resume] rather than a
+   [fun () -> continue k v] thunk saves the closure on every blocking
+   call. *)
+type event =
+  | Call : (unit -> unit) -> event
+  | Resume : ('a, unit) Effect.Deep.continuation * 'a -> event
+
 type t = {
   mutable now : Time.t;
-  queue : (unit -> unit) Heap.t;
+  queue : event Heap.t;
   mutable live : int;  (* processes spawned and not yet finished *)
   (* Names of live processes, keyed by spawn id, so a stall can say who is
      blocked rather than just how many. *)
@@ -18,13 +26,17 @@ type t = {
      model checker sets this; default runs keep exact timing. *)
   mutable quantum : int;
   mutable events : int;  (* events executed so far *)
+  (* The span of the [Delay] being handled, passed from the effect
+     handler to the per-process resumption callback so that callback can
+     be allocated once per process instead of once per delay. *)
+  mutable pending_delay : Time.span;
 }
 
 exception Stalled of string
 
 type _ Effect.t +=
   | Delay : Time.span -> unit Effect.t
-  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Suspend : (wake:('a -> unit) -> unit) -> 'a Effect.t
 
 let shuffle_tie_break ~seed : Heap.tie_break =
  fun ~time ~seq -> Rng.hash3 seed time seq
@@ -37,7 +49,8 @@ let create ?tie_break () =
     next_pid = 0;
     chooser = None;
     quantum = 0;
-    events = 0 }
+    events = 0;
+    pending_delay = 0 }
 
 let set_chooser t c = t.chooser <- c
 
@@ -49,7 +62,7 @@ let events t = t.events
 
 let now t = t.now
 
-let schedule_at t at thunk =
+let push_at t at ev =
   if Time.( < ) at t.now then
     invalid_arg "Engine.schedule_at: instant is in the simulated past";
   let time = Time.to_ns at in
@@ -61,42 +74,50 @@ let schedule_at t at thunk =
       ((time / t.quantum) + 1) * t.quantum
     else time
   in
-  Heap.push t.queue ~time thunk
+  Heap.push t.queue ~time ev
 
-let schedule t ?(delay = 0) thunk =
+let push_in t delay ev =
   let delay = if delay < 0 then 0 else delay in
-  schedule_at t (Time.add t.now delay) thunk
+  push_at t (Time.add t.now delay) ev
+
+let schedule_at t at thunk = push_at t at (Call thunk)
+let schedule t ?(delay = 0) thunk = push_in t delay (Call thunk)
 
 (* Run [body] under the effect handler that maps Delay/Suspend onto the
    event queue. Continuations are one-shot; Suspend guards against double
-   wake so synchronization primitives may broadcast defensively. *)
+   wake so synchronization primitives may broadcast defensively. The
+   Delay callback is built once per process: the handler hands it the
+   span through [pending_delay]. *)
 let exec_process t pid body =
   let open Effect.Deep in
   let finished () =
     t.live <- t.live - 1;
     Hashtbl.remove t.names pid
   in
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+         push_in t t.pending_delay (Resume (k, ())))
+  in
   let handler =
     { retc = (fun () -> finished ());
       exnc = (fun exn -> finished (); raise exn);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+          ((a, unit) continuation -> unit) option ->
            match eff with
            | Delay d ->
-             Some
-               (fun (k : (a, unit) continuation) ->
-                  schedule t ~delay:d (fun () -> continue k ()))
+             t.pending_delay <- d;
+             on_delay
            | Suspend register ->
              Some
                (fun (k : (a, unit) continuation) ->
                   let woken = ref false in
-                  let wake v =
-                    if not !woken then begin
-                      woken := true;
-                      schedule t (fun () -> continue k v)
-                    end
-                  in
-                  register wake)
+                  register ~wake:(fun v ->
+                      if not !woken then begin
+                        woken := true;
+                        push_at t t.now (Resume (k, v))
+                      end))
            | _ -> None);
     }
   in
@@ -109,6 +130,10 @@ let spawn t ?(delay = 0) ?(name = "process") body =
   Hashtbl.replace t.names pid name;
   schedule t ~delay (fun () -> exec_process t pid body)
 
+let dispatch = function
+  | Call thunk -> thunk ()
+  | Resume (k, v) -> Effect.Deep.continue k v
+
 let blocked_names t =
   Hashtbl.fold (fun pid name acc -> (pid, name) :: acc) t.names []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -116,14 +141,15 @@ let blocked_names t =
 
 let step t =
   match t.chooser with
-  | None -> (
-      match Heap.pop t.queue with
-      | None -> false
-      | Some (time, thunk) ->
-        t.now <- Time.of_ns time;
-        t.events <- t.events + 1;
-        thunk ();
-        true)
+  | None ->
+    if Heap.is_empty t.queue then false
+    else begin
+      t.now <- Time.of_ns (Heap.min_time t.queue);
+      let ev = Heap.take t.queue in
+      t.events <- t.events + 1;
+      dispatch ev;
+      true
+    end
   | Some choose -> (
       (* Controlled mode: same-instant ties are a scheduling choice point;
          singletons run directly so the chooser only sees real choices. *)
@@ -134,10 +160,10 @@ let step t =
           match Heap.peek_time t.queue with Some x -> x | None -> assert false
         in
         let k = if Array.length seqs = 1 then 0 else choose ~time ~seqs in
-        let time, thunk = Heap.pop_tie t.queue k in
+        let time, ev = Heap.pop_tie t.queue k in
         t.now <- Time.of_ns time;
         t.events <- t.events + 1;
-        thunk ();
+        dispatch ev;
         true)
 
 let run t =
@@ -151,20 +177,16 @@ let run t =
             (String.concat ", " (blocked_names t))))
 
 let run_until t limit =
-  let continue_ = ref true in
-  while !continue_ do
-    match Heap.peek_time t.queue with
-    | Some next when Time.( <= ) (Time.of_ns next) limit ->
-      ignore (step t : bool)
-    | _ -> continue_ := false
+  while
+    (not (Heap.is_empty t.queue))
+    && Time.( <= ) (Time.of_ns (Heap.min_time t.queue)) limit
+  do
+    ignore (step t : bool)
   done;
   if Time.( < ) t.now limit then t.now <- limit
 
 let delay d = if d > 0 then Effect.perform (Delay d)
 let yield () = Effect.perform (Delay 0)
 
-let suspend ~register =
-  Effect.perform (Suspend (fun wake -> register ~wake))
-
-let suspendv ~register =
-  Effect.perform (Suspend (fun wake -> register ~wake))
+let suspend ~register = Effect.perform (Suspend register)
+let suspendv ~register = Effect.perform (Suspend register)

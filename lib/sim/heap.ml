@@ -98,10 +98,14 @@ let push t ~time payload =
   done;
   set_slot t !i ~time ~prio ~seq payload
 
-let pop t =
-  if t.size = 0 then None
+let min_time t =
+  if t.size = 0 then invalid_arg "Heap.min_time: empty heap";
+  Array.unsafe_get t.times 0
+
+let take t =
+  if t.size = 0 then invalid_arg "Heap.take: empty heap"
   else begin
-    let time0 = t.times.(0) and payload0 = t.payloads.(0) in
+    let payload0 = t.payloads.(0) in
     let n = t.size - 1 in
     t.size <- n;
     if n > 0 then begin
@@ -137,8 +141,14 @@ let pop t =
       done;
       set_slot t !i ~time ~prio ~seq payload
     end;
-    Some (time0, payload0)
+    payload0
   end
+
+let pop t =
+  if t.size = 0 then None
+  else
+    let time = t.times.(0) in
+    Some (time, take t)
 
 let peek_time t = if t.size = 0 then None else Some t.times.(0)
 

@@ -42,6 +42,15 @@ val pop : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest [(time, prio, seq)] key,
     as [(time, payload)]. O(log n). *)
 
+val min_time : 'a t -> int
+(** Time key of the entry {!take} would remove. Raises [Invalid_argument]
+    on an empty heap. *)
+
+val take : 'a t -> 'a
+(** {!pop} without the result's option and pair: removes the minimal
+    entry and returns its payload, allocating nothing. Read its time with
+    {!min_time} first. Raises [Invalid_argument] on an empty heap. *)
+
 val peek_time : 'a t -> int option
 (** Time key of the next entry without removing it. *)
 

@@ -15,8 +15,16 @@ let us n = n * 1_000
 let ms n = n * 1_000_000
 let s n = n * 1_000_000_000
 
-let span_of_float_ns f =
+let[@inline] span_of_float_ns f =
   if Stdlib.( <= ) f 0. then 0 else int_of_float (Float.round f)
+
+let span_of_bytes ~bytes ~bytes_per_s =
+  span_of_float_ns (float_of_int bytes /. bytes_per_s *. 1e9)
+
+let span_of_units ~units ~ns_per_unit =
+  span_of_float_ns (float_of_int units *. ns_per_unit)
+
+let span_of_cell cell = span_of_float_ns (Float.Array.unsafe_get cell 0)
 
 let to_float_s t = float_of_int t *. 1e-9
 let span_to_float_s d = float_of_int d *. 1e-9

@@ -33,6 +33,20 @@ val span_of_float_ns : float -> span
 (** Round a float nanosecond duration to the nearest integer span, never
     below zero. *)
 
+(** The next three are {!span_of_float_ns} of a float computed here from
+    its parts. A float handed to another module's function is boxed when
+    cross-module inlining is off (dune's dev profile compiles with
+    [-opaque]); these run on every transfer and synchronization, so they
+    take the parts instead. *)
+
+val span_of_bytes : bytes:int -> bytes_per_s:float -> span
+(** Time to move [bytes] at [bytes_per_s]. *)
+
+val span_of_units : units:int -> ns_per_unit:float -> span
+
+val span_of_cell : floatarray -> span
+(** Of element 0: a one-element accumulator. *)
+
 val to_float_s : t -> float
 val span_to_float_s : span -> float
 

@@ -73,9 +73,8 @@ let spawn s body =
     (fun () ->
        body t;
        (* Flush residual local time into the compute bucket. *)
-       let a = Float.Array.unsafe_get t.accum 0 in
-       if a > 0. then begin
-         let d = Desim.Time.span_of_float_ns a in
+       if Float.Array.unsafe_get t.accum 0 > 0. then begin
+         let d = Desim.Time.span_of_cell t.accum in
          Float.Array.unsafe_set t.accum 0 0.;
          t.m_compute <- t.m_compute + d;
          Desim.Engine.delay d
@@ -91,9 +90,8 @@ let thread_id t = t.id
 let now t = Desim.Engine.now t.sys.engine
 
 let sync_clock t =
-  let a = Float.Array.unsafe_get t.accum 0 in
-  if a > 0. then begin
-    let d = Desim.Time.span_of_float_ns a in
+  if Float.Array.unsafe_get t.accum 0 > 0. then begin
+    let d = Desim.Time.span_of_cell t.accum in
     Float.Array.unsafe_set t.accum 0 0.;
     t.m_compute <- t.m_compute + d;
     Desim.Engine.delay d
@@ -108,7 +106,7 @@ let charge t ns =
    serving workload timestamps requests with these on both backends. *)
 let now_ns t =
   Desim.Time.to_ns (now t)
-  + Desim.Time.span_of_float_ns (Float.Array.unsafe_get t.accum 0)
+  + Desim.Time.span_of_cell t.accum
 
 let idle_until t target =
   if target > now_ns t then begin

@@ -48,8 +48,7 @@ let stripe_bytes ~keys ~shards =
   / Kernel_util.isolation_pad * Kernel_util.isolation_pad
 
 module Make (B : Backend_sig.S) = struct
-  let run ?(record_history = false) ?(on_latency = fun _ ~latency_ns:_ -> ())
-      ~threads (p : params) =
+  let run ?(record_history = false) ~threads (p : params) =
     if threads <= 0 then invalid_arg "Kv.run: threads";
     if p.shards <= 0 then invalid_arg "Kv.run: shards";
     if p.service_flops < 0 then invalid_arg "Kv.run: service_flops";
@@ -113,9 +112,7 @@ module Make (B : Backend_sig.S) = struct
                v
            in
            B.unlock t locks.(shard);
-           let latency_ns = B.now_ns t - arrival in
-           latencies.(i) <- latency_ns;
-           on_latency r ~latency_ns;
+           latencies.(i) <- B.now_ns t - arrival;
            if record_history then
              histories.(tid)
              <- { e_client = r.Traffic.client;
@@ -159,10 +156,10 @@ module Make (B : Backend_sig.S) = struct
       history }
 end
 
-let run ?record_history ?on_latency (backend : Backend_sig.backend) ~threads p =
+let run ?record_history (backend : Backend_sig.backend) ~threads p =
   let module B = (val backend) in
   let module M = Make (B) in
-  M.run ?record_history ?on_latency ~threads p
+  M.run ?record_history ~threads p
 
 let lost_writes r =
   let lost = ref [] in

@@ -51,17 +51,12 @@ type result = {
 }
 
 module Make (B : Backend_sig.S) : sig
-  val run :
-    ?record_history:bool ->
-    ?on_latency:(Traffic.request -> latency_ns:int -> unit) ->
-    threads:int -> params -> result
-  (** [on_latency] fires at each request completion. *)
+  val run : ?record_history:bool -> threads:int -> params -> result
 end
 
 val run :
-  ?record_history:bool ->
-  ?on_latency:(Traffic.request -> latency_ns:int -> unit) ->
-  Backend_sig.backend -> threads:int -> params -> result
+  ?record_history:bool -> Backend_sig.backend -> threads:int -> params ->
+  result
 
 val lost_writes : result -> (int * int * int) list
 (** Keys whose final version disagrees with the stream:

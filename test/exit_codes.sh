@@ -66,6 +66,8 @@ expect 2 "micro rejects zero servers" micro --servers 0
 expect 2 "micro rejects shards on pth" micro --backend pth --shards 2
 expect 2 "micro rejects migrate on pth" micro --backend pth --migrate
 expect 2 "micro rejects over-cap threads" micro -t 1000
+expect 2 "micro rejects an unknown option" micro --domains 2
+expect 2 "micro rejects a malformed value" micro -t abc
 
 # serve: 0 on a clean sweep, 2 on usage errors.
 serve_quick=(--backend pth -t 2 --clients 4 --requests 64 --keys 16 --load 0.5)

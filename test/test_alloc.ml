@@ -1,5 +1,5 @@
-(* Allocation regression tests for the per-access path and the
-   multiple-writer line cycle (below). A warmed 3-row
+(* Allocation regression tests for the per-access path, the
+   multiple-writer line cycle and the lock path (below). A warmed 3-row
    stencil loop runs through Backend_sig on both backends; every access
    switches coherence/cache line, so the single-line fast paths cannot
    hide the line-switching cost. The bound is per access, in minor-heap
@@ -117,12 +117,68 @@ let check_line_cycle () =
     Alcotest.failf "%.0f direct major words per line cycle (bound %.0f)" w
       cycle_bound
 
+(* The sync path: one thread takes and releases one lock, uncontended, so
+   every acquire is granted at once and every release ships its region's
+   update log (empty, or one 8-byte store) home. The figure is minor words
+   per lock/unlock cycle through Backend_sig after a warm-up, so per-lock
+   tables have already grown and the history ring is full. The stored
+   float is a constant, so the boundary boxes nothing. *)
+let lock_warmup = 200
+let lock_cycles = 2_000
+
+let words_per_lock_cycle ~store =
+  let module B = (val Workload.Samhita_backend.default) in
+  let sys = B.create ~threads:1 in
+  let m = B.mutex sys in
+  let result = ref nan in
+  B.spawn sys (fun t ->
+      let addr = B.malloc t ~bytes:8 in
+      let cycle () =
+        B.lock t m;
+        if store then B.write_f64 t addr 1.0;
+        B.unlock t m
+      in
+      for _ = 1 to lock_warmup do
+        cycle ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to lock_cycles do
+        cycle ()
+      done;
+      let w1 = Gc.minor_words () in
+      result := (w1 -. w0) /. float_of_int lock_cycles);
+  B.run sys;
+  !result
+
+(* Measured with OCaml 5.1.1 (no flambda) before the lock path lost its
+   per-release history copy, its tables and its per-call closures: 352
+   words per cycle with no store and 607 with one. The bounds are the
+   budget set for that work, not the figures it reached: a cycle's
+   blocking calls (one suspension for the grant, one delay for the release
+   ack) and the retained history entry, with headroom; a store adds its
+   log record and one home round trip. One list copy of the retained
+   history (64 entries, 192 words) or a table per release fails them. *)
+let lock_bound = 64.
+let lock_store_bound = 160.
+
+let check_lock_cycle ~store () =
+  let w = words_per_lock_cycle ~store in
+  let bound = if store then lock_store_bound else lock_bound in
+  if not (w <= bound) then
+    Alcotest.failf "%.1f minor words per lock/unlock cycle%s (bound %.0f)" w
+      (if store then " with a store" else "")
+      bound
+
 let tests =
   [ Alcotest.test_case "samhita stencil words/access" `Quick
       (check_backend "samhita" Workload.Samhita_backend.default);
     Alcotest.test_case "pthreads stencil words/access" `Quick
       (check_backend "pthreads" Workload.Smp_backend.default);
     Alcotest.test_case "false-sharing line cycle major words" `Quick
-      check_line_cycle ]
+      check_line_cycle;
+    Alcotest.test_case "lock/unlock cycle words" `Quick
+      (check_lock_cycle ~store:false);
+    Alcotest.test_case "lock/store/unlock cycle words" `Quick
+      (check_lock_cycle ~store:true) ]
 
 let () = Alcotest.run "alloc" [ ("per-access", tests) ]

@@ -52,13 +52,13 @@ let test_determinism () =
     (a.Workload.Kv.history = b.Workload.Kv.history);
   Alcotest.(check int) "same wall" a.Workload.Kv.wall_ns b.Workload.Kv.wall_ns
 
-let test_on_latency_feed () =
+(* The serving harness and the benchmark feed their estimators from
+   [latencies_ns] after the run. *)
+let test_latency_feed () =
   let est = Harness.Percentile.create () in
-  let r =
-    Workload.Kv.run smh ~threads:2 small_p
-      ~on_latency:(fun _ ~latency_ns -> Harness.Percentile.add est latency_ns)
-  in
-  Alcotest.(check int) "one callback per request" r.Workload.Kv.served
+  let r = Workload.Kv.run smh ~threads:2 small_p in
+  Array.iter (Harness.Percentile.add est) r.Workload.Kv.latencies_ns;
+  Alcotest.(check int) "one sample per request" r.Workload.Kv.served
     (Harness.Percentile.count est);
   Alcotest.(check bool) "p50 <= p999" true
     (Harness.Percentile.percentile est 0.5
@@ -141,7 +141,7 @@ let tests =
   [ Alcotest.test_case "exact on pthreads" `Quick test_exact_pth;
     Alcotest.test_case "exact on samhita" `Quick test_exact_smh;
     Alcotest.test_case "deterministic per seed" `Quick test_determinism;
-    Alcotest.test_case "on_latency feed" `Quick test_on_latency_feed;
+    Alcotest.test_case "latency feed" `Quick test_latency_feed;
     Alcotest.test_case "oracle accepts clean history" `Quick
       test_oracle_accepts_clean;
     Alcotest.test_case "oracle rejects lost own write" `Quick

@@ -84,7 +84,7 @@ let test_lock_queue_and_handoff () =
    | `Granted _ -> Alcotest.fail "expected queue");
   (* Holder releases with a log; waiter gets the lock and a Patch. *)
   let u = Samhita.Update.of_i64 ~addr:0 5L in
-  Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1 ~log:[ u ]
+  Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread:1 ~log:[ u ]
     ~line_versions:[ (0, 1) ];
   Alcotest.(check (option int)) "handed off" (Some 2)
     (Samhita.Manager_shard.lock_holder m l);
@@ -109,7 +109,7 @@ let test_lock_release_not_holder () =
   Alcotest.check_raises "wrong thread"
     (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
     (fun () ->
-       Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:9 ~log:[]
+       Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread:9 ~log:[]
          ~line_versions:[])
 
 let test_lock_release_error_mutates_nothing () =
@@ -125,7 +125,7 @@ let test_lock_release_error_mutates_nothing () =
    with
    | `Granted _ -> ()
    | `Queued -> Alcotest.fail "free lock");
-  Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+  Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread:1
     ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
     ~line_versions:[ (0, 1) ];
   (match
@@ -145,7 +145,7 @@ let test_lock_release_error_mutates_nothing () =
   Alcotest.check_raises "wrong thread rejected"
     (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
     (fun () ->
-       Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:2
+       Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread:2
          ~log:[ Samhita.Update.of_i64 ~addr:8 9L ]
          ~line_versions:[ (0, 9) ]);
   Alcotest.(check (option int)) "holder unchanged" (Some 1)
@@ -154,7 +154,7 @@ let test_lock_release_error_mutates_nothing () =
     (Samhita.Manager_shard.lock_version m l);
   Alcotest.(check bool) "waiter not woken by the error" true (!woken = None);
   (* The legitimate release still finds the waiter queued. *)
-  Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+  Samhita.Manager_shard.lock_release m ~seq:2 ~now:t0 ~lock:l ~thread:1
     ~log:[ Samhita.Update.of_i64 ~addr:8 2L ]
     ~line_versions:[ (0, 2) ];
   Alcotest.(check (option int)) "handed off to the intact waiter" (Some 2)
@@ -174,7 +174,7 @@ let test_lock_release_free_lock () =
   Alcotest.check_raises "free lock rejected"
     (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
     (fun () ->
-       Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+       Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread:1
          ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
          ~line_versions:[ (0, 1) ]);
   Alcotest.(check (option int)) "still free" None
@@ -192,7 +192,7 @@ let test_lock_patch_aggregates_history () =
      with
      | `Granted _ -> ()
      | `Queued -> Alcotest.fail "free lock");
-    Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+    Samhita.Manager_shard.lock_release m ~seq:i ~now:t0 ~lock:l ~thread:1
       ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) (Int64.of_int i) ]
       ~line_versions:[ (0, i) ]
   done;
@@ -223,7 +223,7 @@ let test_lock_notices_fallback () =
      with
      | `Granted _ -> ()
      | `Queued -> Alcotest.fail "free lock");
-    Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+    Samhita.Manager_shard.lock_release m ~seq:i ~now:t0 ~lock:l ~thread:1
       ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) 1L ]
       ~line_versions:[ (i, i) ]
   done;
@@ -246,7 +246,7 @@ let test_lock_grant_wire_grows_with_payload () =
        ~endpoint:(ep net 2) ~wake:(fun _ -> ())
    with
    | `Granted g0 ->
-     Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+     Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread:1
        ~log:(List.init 10 (fun i -> Samhita.Update.of_i64 ~addr:(i * 8) 0L))
        ~line_versions:[ (0, 1) ];
      (match
@@ -258,6 +258,169 @@ let test_lock_grant_wire_grows_with_payload () =
           (g1.Samhita.Manager_shard.wire_bytes > g0.Samhita.Manager_shard.wire_bytes)
       | `Queued -> Alcotest.fail "free")
    | `Queued -> Alcotest.fail "free")
+
+(* ---------------- history ring vs the list model ---------------- *)
+
+(* A reference copy of the list-based history the ring replaced: every
+   release prepends an entry and the list is cut to the newest
+   [update_log_history]; a grant is covered iff the entries newer than
+   [last_seen] number exactly the gap, and then patches with their logs
+   oldest first and each line at its newest version. *)
+module List_history = struct
+  type entry = { v : int; log : Samhita.Update.t list; lvs : (int * int) list }
+
+  type t = {
+    keep : int;
+    mutable version : int;
+    mutable history : entry list;  (* newest first *)
+    touched : (int, int) Hashtbl.t;
+  }
+
+  let create ~keep =
+    { keep; version = 0; history = []; touched = Hashtbl.create 16 }
+
+  let release h ~log ~lvs =
+    h.version <- h.version + 1;
+    h.history <- { v = h.version; log; lvs } :: h.history;
+    if List.length h.history > h.keep then
+      h.history <- List.filteri (fun i _ -> i < h.keep) h.history;
+    List.iter (fun (l, v) -> Hashtbl.replace h.touched l v) lvs
+
+  let grant_framing = 48
+
+  (* [(kind, log, sorted line versions, wire bytes)] *)
+  let grant h ~last_seen =
+    if last_seen >= h.version then (`Fresh, [], [], grant_framing)
+    else begin
+      let covering = List.filter (fun e -> e.v > last_seen) h.history in
+      if List.length covering = h.version - last_seen && h.keep > 0 then begin
+        let ordered = List.rev covering in
+        let log = List.concat_map (fun e -> e.log) ordered in
+        let lv = Hashtbl.create 16 in
+        List.iter
+          (fun e -> List.iter (fun (l, v) -> Hashtbl.replace lv l v) e.lvs)
+          ordered;
+        let lvs = List.sort compare (Hashtbl.fold (fun l v a -> (l, v) :: a) lv []) in
+        ( `Patch, log, lvs,
+          grant_framing + Samhita.Update.log_wire_bytes log
+          + Samhita.Manager_shard.notice_wire lvs )
+      end
+      else begin
+        let ns =
+          List.sort compare (Hashtbl.fold (fun l v a -> (l, v) :: a) h.touched [])
+        in
+        (`Notices, [], ns, grant_framing + Samhita.Manager_shard.notice_wire ns)
+      end
+    end
+end
+
+(* One step of a random history: a release's log and line versions (one
+   entry per line, as a flush produces), then the [last_seen] of the next
+   acquire, as a fraction of the versions so far. *)
+let gen_step =
+  QCheck.Gen.(
+    let update = map2 (fun slot v -> (8 * slot, v)) (int_bound 63) (int_bound 999) in
+    triple (list_size (int_bound 3) update)
+      (list_size (int_bound 3) (pair (int_bound 5) (int_bound 999)))
+      (float_bound_inclusive 1.))
+
+let print_step (log, lvs, f) =
+  Printf.sprintf "log=[%s] lvs=[%s] last_seen=%.2f"
+    (String.concat ";" (List.map (fun (a, v) -> Printf.sprintf "%d:%d" a v) log))
+    (String.concat ";" (List.map (fun (l, v) -> Printf.sprintf "%d:%d" l v) lvs))
+    f
+
+let ring_matches_list_model keep steps =
+  let _, net, m = mk_with { cfg with update_log_history = keep } in
+  let l = Samhita.Manager_shard.lock_create m in
+  let model = List_history.create ~keep in
+  let acquire ~last_seen =
+    match
+      Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen
+        ~endpoint:(ep net 2) ~wake:(fun _ -> ())
+    with
+    | `Granted g -> g
+    | `Queued -> QCheck.Test.fail_report "uncontended acquire queued"
+  in
+  List.iteri
+    (fun i (log, lvs, f) ->
+       let last_seen = int_of_float (f *. float_of_int model.version) in
+       let g = acquire ~last_seen in
+       let kind, mlog, mlvs, mwire = List_history.grant model ~last_seen in
+       let got_kind, got_log, got_lvs =
+         match g.Samhita.Manager_shard.action with
+         | Samhita.Manager_shard.Fresh -> (`Fresh, [], [])
+         | Samhita.Manager_shard.Patch (log, lvs) -> (`Patch, log, List.sort compare lvs)
+         | Samhita.Manager_shard.Notices ns -> (`Notices, [], List.sort compare ns)
+       in
+       if got_kind <> kind || got_log <> mlog || got_lvs <> mlvs
+          || g.Samhita.Manager_shard.wire_bytes <> mwire
+          || g.Samhita.Manager_shard.lock_version <> model.version
+       then
+         QCheck.Test.fail_reportf
+           "step %d (keep %d, version %d, last_seen %d): grant differs from \
+            the list model" i keep model.version last_seen;
+       let log =
+         List.map
+           (fun (addr, v) -> Samhita.Update.of_i64 ~addr (Int64.of_int v))
+           log
+       in
+       let lvs = List.sort_uniq (fun (a, _) (b, _) -> compare a b) lvs in
+       Samhita.Manager_shard.lock_release m ~seq:(i + 1) ~now:t0 ~lock:l
+         ~thread:1 ~log ~line_versions:lvs;
+       List_history.release model ~log ~lvs)
+    steps;
+  true
+
+let test_ring_matches_list_model =
+  (* Up to 150 releases, so a 64-deep ring wraps too. *)
+  QCheck.Test.make ~name:"history ring grants == list-based history"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (keep, steps) ->
+           Printf.sprintf "keep=%d\n%s" keep
+             (String.concat "\n" (List.map print_step steps)))
+       QCheck.Gen.(
+         pair (oneofl [ 0; 1; 2; 64 ]) (list_size (int_range 1 150) gen_step)))
+    (fun (keep, steps) -> ring_matches_list_model keep steps)
+
+(* Crash replay reads only the retained releases, oldest first: with a
+   two-deep ring and five releases, releases 4 and 5 are replayed onto a
+   promoted replica that missed them all, and the overwritten 1-3 are
+   not. Release [i] stores [i] at address 0 and at address [8 * i]. *)
+let test_replay_after_ring_wrap () =
+  let cfg' = { cfg with update_log_history = 2 } in
+  let e, net, m = mk_with cfg' in
+  let l = Samhita.Manager_shard.lock_create m in
+  for i = 1 to 5 do
+    (match
+       Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1
+         ~last_seen:(i - 1) ~endpoint:(ep net 2) ~wake:(fun _ -> ())
+     with
+     | `Granted _ -> ()
+     | `Queued -> Alcotest.fail "free lock");
+    Samhita.Manager_shard.lock_release m ~seq:i ~now:t0 ~lock:l ~thread:1
+      ~log:
+        [ Samhita.Update.of_i64 ~addr:0 (Int64.of_int i);
+          Samhita.Update.of_i64 ~addr:(8 * i) (Int64.of_int i) ]
+      ~line_versions:[ (0, i) ]
+  done;
+  let dir = Samhita.Directory.create cfg' in
+  let promoted =
+    Samhita.Memory_server.create cfg' layout ~id:0 ~endpoint:(ep net 1)
+  in
+  let replayed =
+    Samhita.Manager_shard.replay m ~dir ~servers:[| promoted |] ~dead:0
+      ~promoted:0 ~subscribers:[] ~now:(Desim.Engine.now e)
+  in
+  let word a = Bytes.get_int64_le (Samhita.Memory_server.line promoted 0) a in
+  Alcotest.(check int) "two retained releases replayed" 2 replayed;
+  Alcotest.(check int) "replica at the newest version" 5
+    (Samhita.Memory_server.version promoted 0);
+  Alcotest.(check int64) "oldest first: release 5 wins address 0" 5L (word 0);
+  Alcotest.(check (list int64)) "releases 4 and 5 applied, 1-3 gone"
+    [ 0L; 0L; 0L; 4L; 5L ]
+    (List.map (fun i -> word (8 * i)) [ 1; 2; 3; 4; 5 ])
 
 (* ---------------- barriers ---------------- *)
 
@@ -388,6 +551,9 @@ let tests =
     Alcotest.test_case "notices fallback" `Quick test_lock_notices_fallback;
     Alcotest.test_case "grant wire size" `Quick
       test_lock_grant_wire_grows_with_payload;
+    QCheck_alcotest.to_alcotest test_ring_matches_list_model;
+    Alcotest.test_case "replay after the ring wraps" `Quick
+      test_replay_after_ring_wrap;
     Alcotest.test_case "barrier masks" `Quick test_barrier_release_and_masks;
     Alcotest.test_case "barrier reusable" `Quick test_barrier_reusable;
     Alcotest.test_case "barrier thread id range" `Quick
