@@ -9,9 +9,12 @@
    function of (salt, shards, vnodes) — no RNG stream is consumed and
    replays are stable by construction. *)
 
+(* Points sorted by (hash, shard), as two flat arrays so a lookup's
+   binary search reads immediate ints. *)
 type t = {
   shards : int;
-  points : (int * int) array; (* (hash, shard), sorted by hash *)
+  hashes : int array;
+  owners : int array;
 }
 
 let mask h = h land max_int
@@ -27,7 +30,7 @@ let create ?(vnodes = default_vnodes) ?(salt = 0x72696e67) ~shards () =
         (mask (Desim.Rng.hash3 salt shard replica), shard))
   in
   Array.sort compare points;
-  { shards; points }
+  { shards; hashes = Array.map fst points; owners = Array.map snd points }
 
 let shards t = t.shards
 
@@ -36,11 +39,11 @@ let lookup t key =
   else begin
     let h = mask (Desim.Rng.hash3 0x6b6579 key 0x6873) in
     (* First point with hash >= h, wrapping to points.(0). *)
-    let n = Array.length t.points in
+    let n = Array.length t.hashes in
     let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if fst t.points.(mid) < h then lo := mid + 1 else hi := mid
+      if t.hashes.(mid) < h then lo := mid + 1 else hi := mid
     done;
-    snd t.points.(if !lo = n then 0 else !lo)
+    t.owners.(if !lo = n then 0 else !lo)
   end

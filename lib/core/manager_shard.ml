@@ -20,17 +20,16 @@ type waiter = {
   w_wake : grant -> unit;
 }
 
-(* One retained release: the lock version it produced, the fine-grained
-   update log, and the home versions of the lines the log touched. *)
+(* One retained release: the fine-grained update log, and the home
+   versions of the lines the log touched. *)
 type history_entry = {
-  h_version : int;
   h_log : Update.t list;
   h_line_versions : (int * int) list;
 }
 
 (* Fills ring slots that no release has reached yet; never read, since
    only the [retained] newest slots are. *)
-let no_entry = { h_version = 0; h_log = []; h_line_versions = [] }
+let no_entry = { h_log = []; h_line_versions = [] }
 
 type lock_state = {
   mutable holder : int;  (* thread id, or -1 when free *)
@@ -195,38 +194,38 @@ let server_for_thread cfg thread =
 let migrating t = t.cfg.Config.home_migration && t.migrate <> None
 
 let note_write t ~thread line =
-         let per =
-           match Hashtbl.find_opt t.write_counts line with
-           | Some h -> h
-           | None ->
-             let h = Hashtbl.create 8 in
-             Hashtbl.replace t.write_counts line h;
-             h
-         in
-         Hashtbl.replace per thread
-           (1 + Option.value (Hashtbl.find_opt per thread) ~default:0);
-         let total = Hashtbl.fold (fun _ c acc -> acc + c) per 0 in
-         if total >= t.cfg.Config.migration_window then begin
-           (* Order-independent arg-max: strictly more writes wins, ties
-              go to the lowest thread id. *)
-           let dom, dom_c =
-             Hashtbl.fold
-               (fun th c (bt, bc) ->
-                  if c > bc || (c = bc && th < bt) then (th, c) else (bt, bc))
-               per (max_int, 0)
-           in
-           Hashtbl.remove t.write_counts line;
-           if 2 * dom_c >= total then begin
-             let target = server_for_thread t.cfg dom in
-             match t.migrate with
-             | Some f ->
-               if f ~line ~target then begin
-                 t.migrations <- t.migrations + 1;
-                 t.migration_log <- (line, target) :: t.migration_log
-               end
-             | None -> ()
-           end
-         end
+  let per =
+    match Hashtbl.find_opt t.write_counts line with
+    | Some h -> h
+    | None ->
+      let h = Hashtbl.create 8 in
+      Hashtbl.replace t.write_counts line h;
+      h
+  in
+  Hashtbl.replace per thread
+    (1 + Option.value (Hashtbl.find_opt per thread) ~default:0);
+  let total = Hashtbl.fold (fun _ c acc -> acc + c) per 0 in
+  if total >= t.cfg.Config.migration_window then begin
+    (* Order-independent arg-max: strictly more writes wins, ties
+       go to the lowest thread id. *)
+    let dom, dom_c =
+      Hashtbl.fold
+        (fun th c (bt, bc) ->
+           if c > bc || (c = bc && th < bt) then (th, c) else (bt, bc))
+        per (max_int, 0)
+    in
+    Hashtbl.remove t.write_counts line;
+    if 2 * dom_c >= total then begin
+      let target = server_for_thread t.cfg dom in
+      match t.migrate with
+      | Some f ->
+        if f ~line ~target then begin
+          t.migrations <- t.migrations + 1;
+          t.migration_log <- (line, target) :: t.migration_log
+        end
+      | None -> ()
+    end
+  end
 
 let set_migrator t f = t.migrate <- Some f
 let migrations t = t.migrations
@@ -271,6 +270,11 @@ let lock_register t ~id =
 
 let history_at st v = st.ring.(v mod Array.length st.ring)
 
+(* The retained releases, oldest first. *)
+let retained_history st =
+  List.init st.retained (fun i ->
+      history_at st (st.version - st.retained + 1 + i))
+
 (* Retain a release's log in the ring, overwriting the oldest entry once
    [update_log_history] are held. *)
 let record_release t st ~log ~line_versions =
@@ -278,7 +282,7 @@ let record_release t st ~log ~line_versions =
   if keep > 0 then begin
     if Array.length st.ring = 0 then st.ring <- Array.make keep no_entry;
     st.ring.(st.version mod keep) <-
-      { h_version = st.version; h_log = log; h_line_versions = line_versions };
+      { h_log = log; h_line_versions = line_versions };
     if st.retained < keep then st.retained <- st.retained + 1
   end
 
@@ -385,8 +389,9 @@ let lock_release t ~seq ~now ~lock ~thread ~log ~line_versions =
     if st.holder <> thread then
       invalid_arg "Manager_shard.lock_release: thread does not hold the lock";
     if thread >= Array.length st.release_seen then begin
-      let grown = Array.make (max (thread + 1) (2 * Array.length st.release_seen)) 0 in
-      Array.blit st.release_seen 0 grown 0 (Array.length st.release_seen);
+      let n = Array.length st.release_seen in
+      let grown = Array.make (max (thread + 1) (2 * n)) 0 in
+      Array.blit st.release_seen 0 grown 0 n;
       st.release_seen <- grown
     end;
     st.release_seen.(thread) <- seq;
@@ -629,8 +634,7 @@ let replay t ~dir ~servers ~dead ~promoted ~subscribers ~now =
                             version = v; data = Memory_server.line psrv line })
                  end)
               h.h_line_versions)
-         (List.init st.retained (fun i ->
-              history_at st (st.version - st.retained + 1 + i))))
+         (retained_history st))
     locks;
   t.replayed <- t.replayed + !replayed_here;
   !replayed_here

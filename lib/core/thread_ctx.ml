@@ -1198,38 +1198,39 @@ let flush_update_batch t ~home:s batch published =
              published lvs)
         published batch)
 
+(* [log]'s updates grouped by logical home, ascending from the lowest
+   home above [above], each batch in log order. A log bound for one home
+   is its own batch. *)
+let rec home_batches t log ~above =
+  let s = next_home t log ~above max_int in
+  if s = max_int then []
+  else begin
+    let batch =
+      if above < 0 && next_home t log ~above:s max_int = max_int then log
+      else List.filter (fun u -> update_home t u = s) log
+    in
+    (s, batch) :: home_batches t log ~above:s
+  end
+
 (* Ship a release log (oldest store first) to its homes, one batch per
    logical home in ascending home order, and return each touched line
    once with its new home version. The batches are formed before the
    first one ships: a home migration may land while a batch is in
    flight. *)
 let flush_update_log t log =
-  if log = [] then []
-  else
-  let rec batches above =
-    let s = next_home t log ~above max_int in
-    if s = max_int then []
-    else begin
-      let batch =
-        if above < 0 && next_home t log ~above:s max_int = max_int then log
-        else List.filter (fun u -> update_home t u = s) log
-      in
-      (s, batch) :: batches s
-    end
-  in
-  let published =
-    List.fold_left
-      (fun published (s, batch) -> flush_update_batch t ~home:s batch published)
-      [] (batches (-1))
-  in
-  (* Note: lines touched here are deliberately NOT added to
-     interval_writes. Under RegC, consistency-region data propagates via
-     the lock protocol (grant patches); only ordinary-region writes
-     produce barrier write notices. Reading lock-protected data without
-     the lock is a race, exactly as under Pthreads. *)
   match log with
-  | [] | [ _ ] -> published
-  | _ -> newest_per_line [] published
+  | [] -> []
+  | _ ->
+    (* Note: lines touched here are deliberately NOT added to
+       interval_writes. Under RegC, consistency-region data propagates
+       via the lock protocol (grant patches); only ordinary-region writes
+       produce barrier write notices. Reading lock-protected data without
+       the lock is a race, exactly as under Pthreads. *)
+    newest_per_line []
+      (List.fold_left
+         (fun published (s, batch) ->
+            flush_update_batch t ~home:s batch published)
+         [] (home_batches t log ~above:(-1)))
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization                                                     *)
