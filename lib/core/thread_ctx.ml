@@ -1300,11 +1300,13 @@ let rec acquire_grant t ~lock ~last_seen =
   else raise (Fabric.Scl.Node_dead (t.lost_node, t.lost_at))
 
 let mutex_lock t lock =
+  let slot = lock_slot t lock in
+  if slot.held_at >= 0 then
+    invalid_arg "Samhita.mutex_lock: lock already held by thread";
   sync_clock t;
   if observed t then
     emit t (Probe.Lock_attempt { thread = t.id; time = now t; lock });
   let start = now t in
-  let slot = lock_slot t lock in
   let grant = acquire_grant t ~lock ~last_seen:slot.seen in
   if observed t then
     emit t

@@ -108,7 +108,12 @@ val free : t -> addr:int -> bytes:int -> unit
 (** {2 Synchronization (with RegC consistency actions)} *)
 
 val mutex_lock : t -> Manager_shard.lock_id -> unit
+(** Raises [Invalid_argument] if this thread already holds the lock (the
+    mutex is not recursive). *)
+
 val mutex_unlock : t -> Manager_shard.lock_id -> unit
+(** Raises [Invalid_argument] if this thread does not hold the lock. *)
+
 val barrier_wait : t -> Manager_shard.barrier_id -> unit
 
 val cond_wait : t -> Manager_shard.cond_id -> Manager_shard.lock_id -> unit

@@ -61,6 +61,42 @@ let test_unlock_without_lock () =
            (Invalid_argument "Samhita.mutex_unlock: lock not held by thread")
            (fun () -> T.mutex_unlock t l)))
 
+(* The mutex is not recursive: a second acquire by the holder is refused
+   before it reaches the shard, and the first hold stays intact. *)
+let test_relock_held_lock () =
+  ignore
+    (run_threads ~threads:1 (fun sys _tid t ->
+         let l = Samhita.System.mutex sys in
+         T.mutex_lock t l;
+         Alcotest.check_raises "relock held"
+           (Invalid_argument "Samhita.mutex_lock: lock already held by thread")
+           (fun () -> T.mutex_lock t l);
+         Alcotest.(check (list int)) "still held once" [ l ] (T.held_locks t);
+         T.mutex_unlock t l))
+
+(* Releasing an outer lock first leaves the inner one held, innermost
+   first, and its region still logging. *)
+let test_unlock_out_of_order () =
+  ignore
+    (run_threads ~threads:1 (fun sys _tid t ->
+         let a = Samhita.System.mutex sys in
+         let b = Samhita.System.mutex sys in
+         let c = Samhita.System.mutex sys in
+         T.mutex_lock t a;
+         T.mutex_lock t b;
+         T.mutex_lock t c;
+         Alcotest.(check (list int)) "innermost first" [ c; b; a ]
+           (T.held_locks t);
+         T.mutex_unlock t b;
+         Alcotest.(check (list int)) "middle released" [ c; a ]
+           (T.held_locks t);
+         T.mutex_unlock t a;
+         Alcotest.(check (list int)) "outer released" [ c ] (T.held_locks t);
+         Alcotest.(check bool) "still in a region" true
+           (T.in_consistency_region t);
+         T.mutex_unlock t c;
+         Alcotest.(check (list int)) "none held" [] (T.held_locks t)))
+
 let test_arena_reuse_after_free () =
   ignore
     (run_threads ~threads:1 (fun _sys _tid t ->
@@ -543,6 +579,8 @@ let tests =
     Alcotest.test_case "alignment enforced" `Quick test_alignment_enforced;
     Alcotest.test_case "malloc invalid" `Quick test_malloc_invalid;
     Alcotest.test_case "unlock without lock" `Quick test_unlock_without_lock;
+    Alcotest.test_case "relock held lock" `Quick test_relock_held_lock;
+    Alcotest.test_case "unlock out of order" `Quick test_unlock_out_of_order;
     Alcotest.test_case "arena reuse" `Quick test_arena_reuse_after_free;
     Alcotest.test_case "three allocation strategies" `Quick
       test_three_allocation_strategies;
